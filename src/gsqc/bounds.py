@@ -72,7 +72,6 @@ class GapBounds:
     upper: float
     tipped_upper_scale: float
     alpha_empirical: float      # gap * (N+1)^4, the lower-bound-form constant
-    lower_form: float           # alpha_empirical / (N+1)^4 == gap, kept for CSV symmetry
 
     def satisfied(self) -> bool:
         return 0.0 <= self.gap <= self.upper * (1.0 + 1e-12) + 1e-12
@@ -91,7 +90,7 @@ def check_bounds(program: Program, gap: float, alpha_floor: float | None = None)
     N = program.num_steps
     alpha = gap * (N + 1) ** 4
     bounds = GapBounds(gap=gap, upper=ub, tipped_upper_scale=tipped_upper_scale(program),
-                       alpha_empirical=alpha, lower_form=alpha / (N + 1) ** 4)
+                       alpha_empirical=alpha)
     if not bounds.satisfied():
         raise BoundViolationError(
             f"measured gap {gap:.6e} exceeds variational upper bound {ub:.6e} "

@@ -8,16 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
 
 from .bounds import scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
 from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError,
                      ProgramError, SolverError)
-from .basis import enumerate_basis
 from .eigensolve import solve_spectrum
 from .hamiltonian import assemble
 from .program import Pin, Program, load_program
@@ -47,17 +43,8 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GSQC_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7, help="deterministic solver seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for sweeps (env GSQC_THREADS)")
     p.add_argument("--dense-cutoff", type=int, default=4096,
                    help="largest dimension solved by the dense oracle")
     p.add_argument("--k", type=int, default=None, help="eigenpairs for the iterative solver")
@@ -154,13 +141,9 @@ def cmd_run(args) -> int:
         "detection": result.detection.to_dict(),
     }
     if program.readout:
-        basis = enumerate_basis(program)
-        _, H = assemble(program)
-        spectral = solve_spectrum(H, k=2 if basis.dim > args.dense_cutoff else None,
-                                  dense_cutoff=args.dense_cutoff, seed=args.seed)
         try:
             doc["readout_bits"] = infer_output_from_readout(
-                spectral.ground_vector(), basis, spectral.ground_energy)
+                result.ground_state, result.basis, result.ground_energy)
         except NonFactoringOutputError as exc:
             doc["readout_bits"] = None
             doc["readout_error"] = str(exc)
@@ -200,9 +183,7 @@ def _gap_row(args, N: int):
 def cmd_gap_scan(args) -> int:
     if args.n_max < args.n_min:
         raise ProgramError(f"empty N range {args.n_min}..{args.n_max}")
-    ns = list(range(args.n_min, args.n_max + 1))
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-        rows = list(pool.map(lambda N: _gap_row(args, N), ns))
+    rows = [_gap_row(args, N) for N in range(args.n_min, args.n_max + 1)]
     ok_rows = [r for r in rows if r["status"] == "ok"]
     columns = ["N", "M", "gates", "e0", "gap", "upper", "alpha4", "iterations", "status"]
     if args.timings:
@@ -246,9 +227,7 @@ def cmd_detect(args) -> int:
                 "predicted": rep.predicted_gate_free,
                 "expected_attempts": rep.expected_attempts}
 
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-        rows = list(pool.map(detect_row, betas))
-    rows.sort(key=lambda r: r["beta"])
+    rows = [detect_row(beta) for beta in sorted(betas)]
     if args.fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:

@@ -75,26 +75,43 @@ def dense_spectrum(H, max_dim: int = DENSE_DIM_CAP, vectors: bool = True,
     return SpectralResult(vals, vecs, manifold, gap, method="dense")
 
 
+def _complete_cluster(vals: np.ndarray, k: int, dim: int,
+                      cluster_tol: float) -> tuple[int, float | None]:
+    """Cluster the k lowest values; a cluster filling all k of fewer than dim
+    values may continue above them, so it is an error, not a result."""
+    manifold, gap = _cluster(vals, cluster_tol)
+    if manifold == k < dim:
+        raise SolverError(f"lowest cluster fills all k={k} requested values and may "
+                          f"extend beyond them: pass a larger k")
+    return manifold, gap
+
+
 def low_lying(H, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
-              maxiter: int | None = None, cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
-    """k smallest eigenpairs by shift-inverted block iteration.
+              cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
+    """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``).
 
     The assembled operators are positive semi-definite, so a small negative
-    shift makes the factorized operator strictly definite.  A seeded random
-    block (k plus a buffer) is repeatedly back-solved and fully
-    reorthogonalized with Rayleigh-Ritz extraction; the block treatment
-    resolves degenerate ground manifolds exactly, which single-vector Lanczos
-    cannot guarantee.  Falls back to the dense oracle when k is too close to
-    the dimension.
+    shift makes the factorized operator strictly definite; its sparse LU is
+    ARPACK's inverse operator, and the k eigenvalues nearest the shift are
+    the k smallest.  The start vector is seeded, so results are
+    deterministic.  Every returned pair must meet the residual bar
+    max(tol, RESIDUAL_TOL * scale), where scale is the largest diagonal
+    entry; otherwise, or when ARPACK does not converge, ConvergenceError is
+    raised.  A lowest cluster that fills all k values raises SolverError.
+    Falls back to the dense oracle for tiny dimensions and for k too close
+    to the dimension for ARPACK.
     """
     dim, op = _as_operator(H)
     if k < 1:
         raise ValueError("k must be >= 1")
-    block = k + max(4, k // 2)
-    if block >= dim or dim <= 32:
+    # Lanczos from one start vector sees the further copies of a degenerate
+    # level only through rounding; converging extra Ritz values beyond k
+    # gives them the iterations to emerge.
+    nev = k + max(4, k // 2)
+    if 2 * nev >= dim or dim <= 32:
         result = dense_spectrum(op, max_dim=max(dim, DENSE_DIM_CAP), cluster_tol=cluster_tol)
         vals, vecs = result.eigenvalues[:k], result.eigenvectors[:, :k]
-        manifold, gap = _cluster(vals, cluster_tol)
+        manifold, gap = _complete_cluster(vals, k, dim, cluster_tol)
         return SpectralResult(vals, vecs, manifold, gap, method="dense-fallback")
 
     csr = op.to_csr() if isinstance(op, SparseHermitian) else sp.csr_matrix(op)
@@ -106,38 +123,28 @@ def low_lying(H, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
     except RuntimeError as exc:
         raise ConvergenceError(f"shift-invert factorization failed: {exc}") from exc
 
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((dim, block))
-    if csr.dtype.kind == "c":
-        X = X.astype(np.complex128)
-    X, _ = np.linalg.qr(X)
-    tol_eff = max(tol, 1e-11 * scale)
-    maxiter = maxiter or 500
     solves = 0
-    vals = None
-    worst = np.inf
-    for _ in range(maxiter):
-        X = lu.solve(X)
-        solves += block
-        X, _ = np.linalg.qr(X)
-        HX = csr @ X
-        small = X.conj().T @ HX
-        small = 0.5 * (small + small.conj().T)
-        theta, Y = np.linalg.eigh(small)
-        X = X @ Y
-        HX = HX @ Y
-        vals = theta.real
-        residuals = np.linalg.norm(HX[:, :k] - X[:, :k] * vals[None, :k], axis=0)
-        worst = float(np.max(residuals))
-        if worst <= tol_eff:
-            break
-    if worst > max(tol_eff * 10, 1e-9 * scale):
-        raise ConvergenceError(
-            f"block iteration residual {worst:.3e} above tolerance after {maxiter} sweeps",
-            best_residual=worst)
-    vecs = X[:, :k]
-    vals = vals[:k]
-    manifold, gap = _cluster(vals, cluster_tol)
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    inverse = spla.LinearOperator((dim, dim), matvec=solve, dtype=csr.dtype)
+    v0 = np.random.default_rng(seed).standard_normal(dim).astype(csr.dtype)
+    try:
+        vals, vecs = spla.eigsh(csr, nev, sigma=sigma, which="LM", OPinv=inverse,
+                                v0=v0, tol=tol)
+    except spla.ArpackError as exc:  # includes ArpackNoConvergence
+        raise ConvergenceError(f"ARPACK shift-invert failed: {exc}") from exc
+    order = np.argsort(vals)[:k]
+    vals, vecs = vals[order], vecs[:, order]
+    worst = float(np.max(np.linalg.norm(csr @ vecs - vecs * vals, axis=0)))
+    bar = max(tol, RESIDUAL_TOL * scale)
+    if worst > bar:
+        raise ConvergenceError(f"eigenpair residual {worst:.3e} above {bar:.3e}",
+                               best_residual=worst)
+    manifold, gap = _complete_cluster(vals, k, dim, cluster_tol)
     return SpectralResult(vals, vecs, manifold, gap, method="shift-invert",
                           matvec_count=solves)
 

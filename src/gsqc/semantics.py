@@ -19,7 +19,6 @@ from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
                       validate_program)
 
-DEV_RESIDUAL_SOLVED = 1e-8
 RUN_RESIDUAL_TOL = 1e-6
 
 
@@ -123,6 +122,8 @@ class RunResult:
     gap: float | None
     detection: DetectionReport
     method: str
+    ground_state: np.ndarray  # the solved ground vector, indexed by basis
+    basis: ConfigurationBasis
 
     def probabilities(self) -> dict[str, float]:
         M = int(np.log2(self.logical_state.size))
@@ -167,7 +168,8 @@ def run_program(program: Program, dense_cutoff: int = DENSE_DIM_CAP,
     report = build_report(psi, basis, program)
     return RunResult(logical_state=logical, residual=residual,
                      ground_energy=result.ground_energy, gap=result.gap,
-                     detection=report, method=result.method)
+                     detection=report, method=result.method, ground_state=psi,
+                     basis=basis)
 
 
 # -- randomized program generator (test suites) -------------------------------

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import gsqc.cli
+import gsqc.eigensolve
 import gsqc.hamiltonian
+import gsqc.semantics
 from gsqc.cli import main
 from gsqc.sparse import SparseHermitian
 
@@ -53,7 +56,16 @@ def test_run_missing_file_exit_2(capsys):
     assert main(["run", "--program", "/nonexistent/prog.json"]) == 2
 
 
-def test_run_readout_program(tmp_path, capsys):
+def test_run_readout_program(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = gsqc.eigensolve.solve_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (gsqc.cli, gsqc.semantics):
+        monkeypatch.setattr(module, "solve_spectrum", counted)
     doc = dict(NOT_PROGRAM)
     doc["readout"] = [0]
     path = tmp_path / "ro.json"
@@ -61,6 +73,7 @@ def test_run_readout_program(tmp_path, capsys):
     assert main(["run", "--program", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["readout_bits"] == "1"
+    assert len(calls) == 1
 
 
 def test_gap_scan_single_qubit_with_footer(tmp_path):
@@ -170,11 +183,3 @@ def test_verify_with_lowered_dense_cutoff():
     # iterative solver takes over below the cutoff and the suite still passes
     assert main(["verify", "--dense-cutoff", "64",
                  "--checks", "ground-manifold,cid-synchronization"]) == 0
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("GSQC_THREADS", "2")
-    out = tmp_path / "scan.csv"
-    assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "5",
-                 "--out", str(out)]) == 0
-    assert len(out.read_text().strip().split("\n")) >= 5

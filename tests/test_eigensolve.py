@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsqc.bounds import upper_bound
 from gsqc.eigensolve import (analytic_levels, char_det, dense_spectrum, low_lying,
                              solve_spectrum, solve_tipped_levels)
 from gsqc.errors import SolverError
@@ -103,6 +104,32 @@ def test_solve_spectrum_dispatch():
     assert res.method in ("shift-invert", "lanczos-sa")
     with pytest.raises(SolverError, match="pass k"):
         solve_spectrum(H, dense_cutoff=10)
+
+
+def test_low_lying_resolves_eightfold_manifold_against_dense():
+    _, H = assemble(Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1)]))
+    res = solve_spectrum(H, k=9, dense_cutoff=64)
+    assert res.method == "shift-invert"
+    assert res.ground_manifold_dim == 8
+    assert np.allclose(res.eigenvalues, dense_spectrum(H).eigenvalues[:9], atol=1e-8)
+
+
+def test_low_lying_eightfold_manifold_above_dense_cutoff():
+    prog = Program(num_qubits=3, num_steps=10, gates=[gate_cnot(5, 0, 1)])
+    _, H = assemble(prog)
+    assert H.dim == 10648
+    res = solve_spectrum(H, k=9)
+    assert res.ground_manifold_dim == 8
+    assert 0 < res.gap <= upper_bound(prog)
+
+
+def test_low_lying_rejects_cluster_filling_k():
+    _, H = assemble(Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1)]))
+    with pytest.raises(SolverError, match="larger k"):
+        low_lying(H, k=8)
+    _, H = assemble(Program(num_qubits=1, num_steps=1))
+    with pytest.raises(SolverError, match="larger k"):
+        low_lying(H, k=2)  # dense fallback
 
 
 def test_low_lying_deterministic():

@@ -5,7 +5,7 @@ from gsqc.basis import enumerate_basis
 from gsqc.eigensolve import dense_spectrum
 from gsqc.errors import ConsistencyError, IndeterminateInputError, ProgramError
 from gsqc.hamiltonian import assemble
-from gsqc.program import Pin, Program, gate_cnot, gate_single, pin_all
+from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from gsqc.semantics import (random_program, reference_circuit, row_projection,
                             run_program, step_unitary, verify_development)
 
@@ -151,6 +151,15 @@ def test_run_rotation_gives_half_half():
     res = run_program(prog)
     probs = res.probabilities()
     assert abs(probs["0"] - 0.5) < 1e-8 and abs(probs["1"] - 0.5) < 1e-8
+
+
+def test_run_tipped_cid_chain_above_dense_cutoff():
+    prog = pin_all(Program(num_qubits=3, num_steps=8,
+                           gates=[gate_cid(7, 0, 1), gate_cid(8, 1, 2)],
+                           tip_beta=1.0 / np.sqrt(24.0)), "000")
+    res = run_program(prog)
+    assert res.method == "shift-invert"
+    assert res.output_fidelity(reference_circuit(prog, "000")) >= 1 - 1e-8
 
 
 def test_run_requires_all_pins():
