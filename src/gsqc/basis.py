@@ -35,12 +35,16 @@ class ConfigurationBasis:
         self.num_steps = int(num_steps)
         self.readout = tuple(int(q) for q in readout)
         self.site_count = 2 * (self.num_steps + 1)
-        dim = self.site_count ** self.num_qubits * 2 ** len(self.readout)
-        if dim > max_dim:
-            raise BasisSizeError(
-                f"basis dimension {dim} exceeds cap {max_dim} "
-                f"(M={num_qubits}, N={num_steps}, R={len(self.readout)})"
-            )
+        # multiplied up one qubit at a time, so a huge qubit count stops at
+        # the cap instead of building a huge integer
+        dim = 2 ** len(self.readout)
+        for _ in range(self.num_qubits):
+            dim *= self.site_count
+            if dim > max_dim:
+                raise BasisSizeError(
+                    f"basis dimension exceeds cap {max_dim} "
+                    f"(M={num_qubits}, N={num_steps}, R={len(self.readout)})"
+                )
         self.dim = int(dim)
         R = len(self.readout)
         # stride of each qubit digit / readout bit in the packed index

@@ -168,14 +168,16 @@ def _gap_row(args, N: int):
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,
                           tip_beta=None if args.beta == 1.0 else args.beta)
         _, H = assemble(program)
-        k = args.k or 2 ** args.m + 1
-        res = solve_spectrum(H, k=k if H.dim > args.dense_cutoff else None,
-                             dense_cutoff=args.dense_cutoff, tol=args.tol, seed=args.seed)
+        res = solve_spectrum(H, k=args.k or 2 ** args.m + 1, dense_cutoff=args.dense_cutoff,
+                             tol=args.tol, seed=args.seed)
         row.update(e0=res.ground_energy, gap=res.gap, upper=upper_bound(program),
                    alpha4=None if res.gap is None else res.gap * (N + 1) ** 4,
                    iterations=res.matvec_count)
     except Exception as exc:
-        row["status"] = f"{type(exc).__name__}"
+        # the CSV cell keeps only the class name, so a comma in the message
+        # cannot break the row
+        row["status"] = type(exc).__name__
+        print(f"N={N}: {type(exc).__name__}: {exc}", file=sys.stderr)
     row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
     return row
 
@@ -243,9 +245,7 @@ def cmd_detect(args) -> int:
 def cmd_spectrum(args) -> int:
     program = load_program(args.program)
     _, H = assemble(program)
-    k = args.k if H.dim > args.dense_cutoff else None
-    if H.dim > args.dense_cutoff and k is None:
-        k = 2 ** program.num_qubits + 1
+    k = 2 ** program.num_qubits + 1 if args.k is None else args.k
     res = solve_spectrum(H, k=k, dense_cutoff=args.dense_cutoff, tol=args.tol,
                          seed=args.seed)
     if args.fmt == "json":

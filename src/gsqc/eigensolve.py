@@ -152,7 +152,8 @@ def low_lying(H, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
 def solve_spectrum(H, k: int | None = None, dense_cutoff: int = DENSE_DIM_CAP,
                    tol: float = 0.0, seed: int = DEFAULT_SEED,
                    cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
-    """Dispatch: dense oracle up to the cutoff, iterative above."""
+    """Dispatch: dense oracle up to the cutoff (``k`` is ignored there), the
+    k-pair iterative solver above it.  Callers pass k unconditionally."""
     dim, op = _as_operator(H)
     if dim <= dense_cutoff:
         return dense_spectrum(op, max_dim=dense_cutoff, cluster_tol=cluster_tol)

@@ -5,8 +5,12 @@ class GsqcError(Exception):
     """Base class for all package errors."""
 
 
-class ProgramError(GsqcError):
-    """Invalid program description (bad field, slot conflict, non-unitary gate, ...)."""
+class ProgramError(GsqcError, ValueError):
+    """Invalid program description (bad field, slot conflict, non-unitary gate, ...).
+
+    Also a ValueError, so callers that catch ValueError from a term builder
+    (say, for a non-unitary gate matrix) still catch it.
+    """
 
 
 class BasisSizeError(ProgramError):

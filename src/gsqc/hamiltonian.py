@@ -10,25 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import ConfigurationBasis, enumerate_basis
-from .program import Program, validate_program
+from .program import Program, check_unitary, validate_program
 from .sparse import SparseHermitian, TermSet
 
 ENTRY_DROP_REL = 1e-14
-UNITARITY_TOL = 1e-12
 
 _IDENTITY = np.eye(2)
 _NOT = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _check_unitary(U) -> np.ndarray:
-    U = np.asarray(U)
-    if U.shape != (2, 2):
-        raise ValueError(f"gate matrix must be 2x2, got shape {U.shape}")
-    if np.max(np.abs(U.conj().T @ U - np.eye(2))) > UNITARITY_TOL:
-        raise ValueError("gate matrix is not unitary to 1e-12")
-    if np.iscomplexobj(U) and np.max(np.abs(U.imag)) == 0.0:
-        U = U.real
-    return U
+# target-bond unitary of a two-body gate, per control column (0, 1)
+_BRANCH_UNITARIES = {"cnot": (_IDENTITY, _NOT), "cid": (_IDENTITY, _IDENTITY)}
 
 
 def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray,
@@ -67,7 +57,7 @@ def single_step_term(basis: ConfigurationBasis, qubit: int, row: int, matrix,
     """
     if not (1 <= row <= basis.num_steps):
         raise ValueError(f"row {row} outside 1..{basis.num_steps}")
-    U = _check_unitary(matrix)
+    U = check_unitary(matrix)
     r, c, v = _bond_entries(basis, qubit, row, U, eps)
     return SparseHermitian(basis.dim, r, c, v)
 
@@ -97,7 +87,7 @@ def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: in
         vals_out.append(v)
     # target advances through the branch unitary selected by the control column
     for col_c, U in enumerate(branch_unitaries):
-        r, c, v = _bond_entries(basis, target, row, _check_unitary(U), eps,
+        r, c, v = _bond_entries(basis, target, row, U, eps,
                                 condition={control: hi + col_c})
         rows_out.append(r)
         cols_out.append(c)
@@ -106,7 +96,7 @@ def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: in
     pen = basis.indices_where({control: [lo, lo + 1], target: [hi, hi + 1]})
     rows_out.append(pen)
     cols_out.append(pen)
-    vals_out.append(np.full(pen.size, eps))
+    vals_out.append(np.full(pen.size, eps, dtype=np.float64))
     return SparseHermitian(basis.dim, np.concatenate(rows_out),
                            np.concatenate(cols_out), np.concatenate(vals_out))
 
@@ -114,13 +104,13 @@ def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: in
 def cnot_term(basis: ConfigurationBasis, control: int, target: int, row: int,
               eps: float = 1.0) -> SparseHermitian:
     """Two-body controlled-NOT term at the given row."""
-    return _two_body_term(basis, control, target, row, eps, (_IDENTITY, _NOT))
+    return _two_body_term(basis, control, target, row, eps, _BRANCH_UNITARIES["cnot"])
 
 
 def cid_term(basis: ConfigurationBasis, control: int, target: int, row: int,
              eps: float = 1.0) -> SparseHermitian:
     """Controlled-identity term: synchronization only, both branches identity."""
-    return _two_body_term(basis, control, target, row, eps, (_IDENTITY, _IDENTITY))
+    return _two_body_term(basis, control, target, row, eps, _BRANCH_UNITARIES["cid"])
 
 
 def _region_sites(basis: ConfigurationBasis, lo_row: int, hi_row: int) -> list[int]:
@@ -162,9 +152,8 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
                         yield (f"sync[q{q},j{jE}->j{jL}]", SparseHermitian(basis.dim, r, c, v))
                     else:
                         # q is the later gate's target: copy its conditional bond
-                        U0, U1 = (_IDENTITY, _NOT) if gL.kind == "cnot" else (_IDENTITY, _IDENTITY)
                         rows_o, cols_o, vals_o = [], [], []
-                        for chi, U in enumerate((U0, U1)):
+                        for chi, U in enumerate(_BRANCH_UNITARIES[gL.kind]):
                             r, c, v = _bond_entries(
                                 basis, q, jL, U, eps,
                                 condition={**partner, gL.control: 2 * jL + chi})
@@ -205,7 +194,7 @@ def pin_term(basis: ConfigurationBasis, qubit: int, bit: int, strength: float) -
     if bit not in (0, 1):
         raise ValueError(f"pin bit must be 0 or 1, got {bit!r}")
     idx = basis.indices_where({qubit: 1 - bit})  # site 2*0 + (1-bit)
-    return SparseHermitian(basis.dim, idx, idx, np.full(idx.size, strength))
+    return SparseHermitian(basis.dim, idx, idx, np.full(idx.size, strength, dtype=np.float64))
 
 
 def readout_term(basis: ConfigurationBasis, qubit: int, strength: float) -> SparseHermitian:
@@ -223,7 +212,7 @@ def readout_term(basis: ConfigurationBasis, qubit: int, strength: float) -> Spar
     for sigma in range(2):
         idx = basis.indices_where({qubit: 2 * basis.num_steps + sigma}, {slot: sigma})
         rows_out.append(idx)
-        vals_out.append(np.full(idx.size, strength))
+        vals_out.append(np.full(idx.size, strength, dtype=np.float64))
     idx = np.concatenate(rows_out)
     return SparseHermitian(basis.dim, idx, idx, np.concatenate(vals_out))
 
@@ -234,27 +223,27 @@ def apply_tipping(terms: TermSet, beta: float) -> TermSet:
     Equivalent to the diagonal congruence H -> S H S with S = diag(beta^w),
     w = number of qubits on row N in each configuration, so Hermiticity and
     positive semi-definiteness are preserved and zero modes stay at zero.
+    The congruence is linear, so the copy only records beta (compounding
+    any earlier tipping) and ``total`` applies it once, to the sum.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-    if beta == 1.0:
-        return TermSet(terms.basis, list(terms.terms))
-    scale = beta ** terms.basis.final_row_weight().astype(float)
-    return TermSet(terms.basis, [(label, op.scaled_congruence(scale)) for label, op in terms.terms])
+    return TermSet(terms.basis, list(terms.terms), terms.beta * beta)
 
 
 def assemble(program: Program, max_dim: int | None = None) -> tuple[TermSet, SparseHermitian]:
     """Build the full Hamiltonian of a program.
 
-    Returns the labeled TermSet (tipping already applied) and the summed
-    operator.  Rows without a gate get identity development bonds, so the sum
-    always ties row 0 to row N on every qubit chain.
+    Returns the labeled TermSet (untipped terms, the program's tipping
+    factor recorded) and the summed, tipped operator.  Rows without a gate
+    get identity development bonds, so the sum always ties row 0 to row N
+    on every qubit chain.
     """
     validate_program(program)
     kwargs = {} if max_dim is None else {"max_dim": max_dim}
     basis = enumerate_basis(program, **kwargs)
     eps = program.epsilon
-    terms = TermSet(basis)
+    terms = TermSet(basis, beta=program.beta)
 
     owned = set(program.two_body_slots())
     singles = {(g.qubit, g.row): g.matrix for g in program.gates if g.kind == "single"}
@@ -264,13 +253,11 @@ def assemble(program: Program, max_dim: int | None = None) -> tuple[TermSet, Spa
                 continue
             U = singles.get((q, i), _IDENTITY)
             terms.add(f"h[q{q},i{i}]", single_step_term(basis, q, i, U, eps))
+    two_body = {"cnot": cnot_term, "cid": cid_term}
     for g in program.gates:
-        if g.kind == "cnot":
-            terms.add(f"cnot[j{g.row},c{g.control},t{g.target}]",
-                      cnot_term(basis, g.control, g.target, g.row, eps))
-        elif g.kind == "cid":
-            terms.add(f"cid[j{g.row},c{g.control},t{g.target}]",
-                      cid_term(basis, g.control, g.target, g.row, eps))
+        if g.kind in two_body:
+            terms.add(f"{g.kind}[j{g.row},c{g.control},t{g.target}]",
+                      two_body[g.kind](basis, g.control, g.target, g.row, eps))
     for label, op in chain_sync_terms(basis, program.gates, eps):
         terms.add(label, op)
     for p in program.input_pins:
@@ -280,7 +267,5 @@ def assemble(program: Program, max_dim: int | None = None) -> tuple[TermSet, Spa
     for q in program.readout:
         terms.add(f"readout[q{q}]", readout_term(basis, q, V))
 
-    if program.tip_beta is not None and program.tip_beta != 1.0:
-        terms = apply_tipping(terms, program.tip_beta)
     H = terms.total(drop_tol=ENTRY_DROP_REL * eps)
     return terms, H

@@ -7,6 +7,7 @@ one two-body gate (CNOT or CID), or an implicit identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,41 +91,71 @@ def gate_cid(row: int, control: int, target: int) -> GateSpec:
     return GateSpec(kind="cid", row=row, control=control, target=target)
 
 
+def check_unitary(matrix, where: str = "gate matrix") -> np.ndarray:
+    """The 2x2 unitary ``matrix`` as an array; ProgramError if it is not one.
+
+    A complex matrix with zero imaginary part comes back real, which keeps
+    the assembled Hamiltonian real.  NaN entries fail the check.
+    """
+    try:
+        U = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ProgramError(f"{where} must hold numbers: {exc}") from exc
+    if U.shape != (2, 2):
+        raise ProgramError(f"{where} must be 2x2, got shape {U.shape}")
+    if not (np.max(np.abs(U.conj().T @ U - np.eye(2))) <= UNITARITY_TOL):
+        raise ProgramError(f"{where} is not unitary to {UNITARITY_TOL:g}")
+    return U.real if np.max(np.abs(U.imag)) == 0.0 else U
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_index(x, size: int) -> bool:
+    return _is_int(x) and 0 <= x < size
+
+
+def _is_positive(x) -> bool:
+    """A finite number above zero; bools, strings, NaN and ints past float range are not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return 0.0 < float(x) < math.inf
+    except OverflowError:
+        return False
+
+
 def validate_program(program: Program) -> None:
     """Raise ProgramError on any violated invariant."""
     M, N = program.num_qubits, program.num_steps
-    if not isinstance(M, int) or M < 1:
+    if not _is_int(M) or M < 1:
         raise ProgramError(f"qubits must be a positive integer, got {M!r}")
-    if not isinstance(N, int) or N < 1:
+    if not _is_int(N) or N < 1:
         raise ProgramError(f"steps must be a positive integer, got {N!r}")
-    if not (program.epsilon > 0):
-        raise ProgramError(f"epsilon must be > 0, got {program.epsilon!r}")
-    if program.tip_beta is not None and not (0.0 < program.tip_beta <= 1.0):
+    if not _is_positive(program.epsilon):
+        raise ProgramError(f"epsilon must be a finite number > 0, got {program.epsilon!r}")
+    if program.tip_beta is not None and not (_is_positive(program.tip_beta)
+                                             and program.tip_beta <= 1.0):
         raise ProgramError(f"tip_beta must lie in (0, 1], got {program.tip_beta!r}")
-    if program.readout_strength is not None and not (program.readout_strength > 0):
-        raise ProgramError(f"readout strength must be > 0, got {program.readout_strength!r}")
+    if program.readout_strength is not None and not _is_positive(program.readout_strength):
+        raise ProgramError(f"readout strength must be a finite number > 0, "
+                           f"got {program.readout_strength!r}")
 
     occupied: dict[tuple[int, int], GateSpec] = {}
     for g in program.gates:
         if g.kind not in ("single", "cnot", "cid"):
             raise ProgramError(f"unknown gate kind {g.kind!r}")
-        if not (1 <= g.row <= N):
-            raise ProgramError(f"gate row {g.row} outside 1..{N}")
+        if not (_is_int(g.row) and 1 <= g.row <= N):
+            raise ProgramError(f"gate row {g.row!r} outside 1..{N}")
         if g.kind == "single":
-            if g.qubit is None or not (0 <= g.qubit < M):
+            if not _is_index(g.qubit, M):
                 raise ProgramError(f"single gate qubit {g.qubit!r} outside 0..{M - 1}")
-            U = np.asarray(g.matrix, dtype=complex)
-            if U.shape != (2, 2):
-                raise ProgramError(f"single gate matrix must be 2x2, got shape {U.shape}")
-            if np.max(np.abs(U.conj().T @ U - np.eye(2))) > UNITARITY_TOL:
-                raise ProgramError(
-                    f"gate matrix at (qubit {g.qubit}, row {g.row}) is not unitary "
-                    f"to {UNITARITY_TOL:g}"
-                )
+            check_unitary(g.matrix, f"gate matrix at (qubit {g.qubit}, row {g.row})")
         else:
-            if g.control is None or not (0 <= g.control < M):
+            if not _is_index(g.control, M):
                 raise ProgramError(f"{g.kind} control {g.control!r} outside 0..{M - 1}")
-            if g.target is None or not (0 <= g.target < M):
+            if not _is_index(g.target, M):
                 raise ProgramError(f"{g.kind} target {g.target!r} outside 0..{M - 1}")
             if g.control == g.target:
                 raise ProgramError(f"{g.kind} control and target must differ (row {g.row})")
@@ -136,19 +167,19 @@ def validate_program(program: Program) -> None:
 
     pinned = set()
     for p in program.input_pins:
-        if not (0 <= p.qubit < M):
+        if not _is_index(p.qubit, M):
             raise ProgramError(f"pin qubit {p.qubit!r} outside 0..{M - 1}")
-        if p.bit not in (0, 1):
+        if not _is_int(p.bit) or p.bit not in (0, 1):
             raise ProgramError(f"pin bit must be 0 or 1, got {p.bit!r}")
-        if p.strength is not None and not (p.strength > 0):
-            raise ProgramError(f"pin strength must be > 0, got {p.strength!r}")
+        if p.strength is not None and not _is_positive(p.strength):
+            raise ProgramError(f"pin strength must be a finite number > 0, got {p.strength!r}")
         if p.qubit in pinned:
             raise ProgramError(f"qubit {p.qubit} pinned twice")
         pinned.add(p.qubit)
 
     seen = set()
     for q in program.readout:
-        if not (0 <= q < M):
+        if not _is_index(q, M):
             raise ProgramError(f"readout qubit {q!r} outside 0..{M - 1}")
         if q in seen:
             raise ProgramError(f"readout qubit {q} listed twice")
@@ -156,7 +187,10 @@ def validate_program(program: Program) -> None:
 
 
 def _matrix_from_json(obj, where: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProgramError(f"{where}: matrix entries must be numbers: {exc}") from exc
     if arr.shape != (2, 2, 2):
         raise ProgramError(f"{where}: matrix must be a 2x2 array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -180,6 +214,10 @@ def program_from_dict(doc: dict) -> Program:
     for key in ("qubits", "steps"):
         if key not in doc:
             raise ProgramError(f"missing required field {key!r}")
+
+    for key in ("gates", "pins", "readout"):
+        if not isinstance(doc.get(key, []), list):
+            raise ProgramError(f"{key!r} must be a list, got {doc[key]!r}")
 
     gates = []
     for i, g in enumerate(doc.get("gates", [])):
@@ -213,13 +251,14 @@ def program_from_dict(doc: dict) -> Program:
     program = Program(
         num_qubits=doc["qubits"],
         num_steps=doc["steps"],
-        epsilon=float(doc.get("epsilon", 1.0)),
+        epsilon=doc.get("epsilon", 1.0),
         gates=gates,
         input_pins=pins,
         tip_beta=doc.get("tip_beta"),
         readout=list(doc.get("readout", [])),
     )
     validate_program(program)
+    program.epsilon = float(program.epsilon)  # only now: float("abc") raises a bare ValueError
     return program
 
 
@@ -252,7 +291,7 @@ def load_program(path) -> Program:
             doc = json.load(fh)
     except OSError as exc:
         raise ProgramError(f"cannot read program file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ProgramError(f"malformed JSON in program file: {exc}") from exc
     return program_from_dict(doc)
 

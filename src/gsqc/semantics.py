@@ -149,8 +149,7 @@ def run_program(program: Program, dense_cutoff: int = DENSE_DIM_CAP,
         raise ProgramError("run_program requires every qubit input pinned")
     terms, H = assemble(program)
     basis = terms.basis
-    k = None if basis.dim <= dense_cutoff else 2
-    result = solve_spectrum(H, k=k, dense_cutoff=dense_cutoff, tol=tol, seed=seed)
+    result = solve_spectrum(H, k=2, dense_cutoff=dense_cutoff, tol=tol, seed=seed)
     psi = result.ground_vector()
     residual = verify_development(psi, program, basis)
     if residual > residual_tol:

@@ -137,23 +137,31 @@ class SparseHermitian:
 
 @dataclass
 class TermSet:
-    """Labeled Hamiltonian addends over one basis; their sum is the operator."""
+    """Labeled Hamiltonian addends over one basis; their sum is the operator.
+
+    ``beta`` is the tipping factor: the operator is S (sum of terms) S with
+    S = diag(beta^w), w the number of qubits on the final row.
+    """
 
     basis: object
     terms: list[tuple[str, SparseHermitian]] = field(default_factory=list)
+    beta: float = 1.0
 
     def add(self, label: str, op: SparseHermitian) -> None:
         if op.dim != self.basis.dim:
             raise ValueError(f"term {label!r} has dim {op.dim}, basis has {self.basis.dim}")
         self.terms.append((label, op))
 
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.terms]
-
     def total(self, drop_tol: float = 0.0) -> SparseHermitian:
-        out = SparseHermitian(self.basis.dim)
-        for _, op in self.terms:
-            out = out + op
+        """Sum every term in one canonicalization, tip the sum, drop tiny entries."""
+        # the leading empty operator keeps a set without terms valid
+        ops = [SparseHermitian(self.basis.dim)] + [op for _, op in self.terms]
+        out = SparseHermitian(self.basis.dim,
+                              np.concatenate([op.rows for op in ops]),
+                              np.concatenate([op.cols for op in ops]),
+                              np.concatenate([op.vals for op in ops]))
+        if self.beta != 1.0:
+            out = out.scaled_congruence(self.beta ** self.basis.final_row_weight().astype(float))
         if drop_tol > 0.0:
             out = out.compressed(drop_tol)
         return out

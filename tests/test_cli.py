@@ -8,6 +8,7 @@ import gsqc.eigensolve
 import gsqc.hamiltonian
 import gsqc.semantics
 from gsqc.cli import main
+from gsqc.errors import ConvergenceError
 from gsqc.sparse import SparseHermitian
 
 NOT_PROGRAM = {
@@ -50,6 +51,39 @@ def test_run_unknown_field_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"qubits": 1, "steps": 1, "bogus": 1}))
     assert main(["run", "--program", str(path)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"gates": [{"kind": "single", "row": 1, "qubit": 0,
+                "matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+    {"gates": [{"kind": "single", "row": 1, "qubit": 0,
+                "matrix": [[["a", 0], [1, 0]], [[1, 0], [0, 0]]]}]},
+    {"epsilon": float("inf")},
+    {"epsilon": "abc"},
+    {"qubits": True, "pins": [{"qubit": 0, "bit": 0}]},
+    {"gates": [{"kind": "cnot", "row": 1.5, "control": 0, "target": 1}]},
+    {"gates": [{"kind": "cnot", "row": 1, "control": [0], "target": 1}]},
+    {"readout": 5},
+    {"tip_beta": "x"},
+    {"pins": [{"qubit": 0, "bit": 0, "lambda": "x"}, {"qubit": 1, "bit": 0}]},
+], ids=["nan-matrix", "string-matrix-entry", "inf-epsilon", "string-epsilon",
+        "bool-qubits", "fractional-row", "list-control", "scalar-readout",
+        "string-tip-beta", "string-lambda"])
+def test_run_malformed_document_exit_2(tmp_path, capsys, change):
+    doc = {"qubits": 2, "steps": 2, "pins": [{"qubit": 0, "bit": 0}, {"qubit": 1, "bit": 0}],
+           **change}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--program", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_spectrum_huge_qubit_count_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"qubits": 10000, "steps": 1}))
+    assert main(["spectrum", "--program", str(path)]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_run_missing_file_exit_2(capsys):
@@ -112,6 +146,23 @@ def test_gap_scan_rows_respect_bound(tmp_path):
         gap, upper, status = float(parts[4]), float(parts[5]), parts[8]
         assert status == "ok"
         assert gap <= upper * (1 + 1e-12)
+
+
+def test_gap_scan_failed_row_message_on_stderr(monkeypatch, capsys):
+    real = gsqc.cli.solve_spectrum
+
+    def stalls_at_n3(H, **kwargs):
+        if H.dim == 8:  # M=1, N=3
+            raise ConvergenceError("ARPACK stalled, residual 1e-3, 7 restarts")
+        return real(H, **kwargs)
+
+    monkeypatch.setattr(gsqc.cli, "solve_spectrum", stalls_at_n3)
+    assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "4"]) == 0
+    captured = capsys.readouterr()
+    assert "N=3: ConvergenceError: ARPACK stalled, residual 1e-3, 7 restarts" in captured.err
+    header, row2, row3, row4 = captured.out.strip().split("\n")
+    assert row3.split(",")[-1] == "ConvergenceError"
+    assert row3.count(",") == header.count(",")
 
 
 def test_gap_scan_empty_range_exit_2(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from gsqc.eigensolve import dense_spectrum
 from gsqc.hamiltonian import (apply_tipping, assemble, cid_term, cnot_term, pin_term,
                               readout_term, single_step_term)
 from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single
+from gsqc.semantics import random_program
 from gsqc.verify import gate_oracle_levels, restricted_gate_spectrum
 
 I2 = np.eye(2)
@@ -166,6 +168,11 @@ def test_pin_gap_positive():
     assert result.gap > 0.0
 
 
+def test_pin_strength_beyond_int64_assembles_real():
+    _, H = assemble(Program(num_qubits=1, num_steps=1, input_pins=[Pin(0, 0, 10 ** 30)]))
+    assert H.vals.dtype == np.float64 and H.vals.max() == 1e30
+
+
 def test_pin_term_validation():
     basis = ConfigurationBasis(1, 1)
     with pytest.raises(ValueError):
@@ -214,6 +221,27 @@ def test_tipped_final_row_probability_formula():
     p_final = float(np.sum(np.abs(psi[basis.qubit_row_array(0) == N]) ** 2))
     assert np.isclose(p_final, (1 / beta**2) / (N + 1 / beta**2), atol=1e-12)
     assert np.isclose(p_final, 4.0 / 6.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tipped_assembly_is_congruence_of_untipped_sum(seed):
+    rng = np.random.default_rng(seed)
+    program = random_program(rng, max_steps=4,
+                             gate_pool="unitary" if seed % 2 else "orthogonal")
+    program = replace(program, epsilon=(1.0, 0.3, 2.7)[seed % 3])
+    beta = float(rng.uniform(0.1, 1.0))
+    _, H = assemble(replace(program, tip_beta=beta))
+    _, H0 = assemble(program)
+    S = beta ** enumerate_basis(program).final_row_weight()
+    expected = S[:, None] * H0.toarray() * S[None, :]
+    assert np.max(np.abs(H.toarray() - expected)) <= 1e-15 * program.epsilon
+
+
+def test_tipping_twice_compounds_beta():
+    terms, _ = assemble(Program(num_qubits=2, num_steps=3, gates=[gate_cnot(2, 0, 1)]))
+    twice = apply_tipping(apply_tipping(terms, 0.5), 0.4)
+    assert twice.beta == 0.2 and terms.beta == 1.0
+    assert np.array_equal(twice.total().toarray(), apply_tipping(terms, 0.2).total().toarray())
 
 
 def test_tipping_range_validated():

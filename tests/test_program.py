@@ -53,6 +53,23 @@ def test_non_unitary_matrix_rejected():
         validate_program(bad)
 
 
+@pytest.mark.parametrize("program", [
+    Program(num_qubits=1, num_steps=1,
+            gates=[gate_single(1, 0, np.array([[np.nan, 0.0], [0.0, 1.0]]))]),
+    Program(num_qubits=1, num_steps=1, epsilon=float("inf")),
+    Program(num_qubits=2, num_steps=2, gates=[gate_cnot(1.5, 0, 1)]),
+    Program(num_qubits=True, num_steps=1),
+    Program(num_qubits=2, num_steps=1, gates=[gate_cnot(1, [0], 1)]),
+    Program(num_qubits=1, num_steps=1, tip_beta="x"),
+    Program(num_qubits=1, num_steps=1, input_pins=[Pin(0, 0, "x")]),
+    Program(num_qubits=1, num_steps=1, input_pins=[Pin(0.0, 0)]),
+], ids=["nan-matrix", "inf-epsilon", "fractional-row", "bool-qubits", "list-control",
+        "string-tip-beta", "string-lambda", "float-pin-qubit"])
+def test_malformed_values_rejected(program):
+    with pytest.raises(ProgramError):
+        validate_program(program)
+
+
 def test_slot_conflict_rejected():
     prog = Program(num_qubits=2, num_steps=2,
                    gates=[gate_cnot(1, 0, 1), gate_single(1, 1, NOT)])
@@ -88,6 +105,13 @@ def test_load_program_file(tmp_path):
 def test_load_program_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
+    with pytest.raises(ProgramError, match="malformed"):
+        load_program(path)
+
+
+def test_load_program_integer_too_long_to_parse(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"qubits": ' + "9" * 5000 + ', "steps": 1}')
     with pytest.raises(ProgramError, match="malformed"):
         load_program(path)
 

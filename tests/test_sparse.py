@@ -72,3 +72,24 @@ def test_termset_sum_and_label_guard():
     assert total.toarray()[0, 0] == 1.0 and total.toarray()[1, 0] == 0.5
     with pytest.raises(ValueError):
         ts.add("bad", SparseHermitian(5))
+
+
+def test_termset_total_builds_do_not_grow_with_term_count(monkeypatch):
+    real_init = SparseHermitian.__init__
+    builds = []
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    counts = []
+    for n_terms in (2, 20):
+        ts = TermSet(ConfigurationBasis(1, 1), beta=0.5)
+        for i in range(n_terms):
+            ts.add(f"t{i}", SparseHermitian(4, rows=[i % 4], cols=[(i + 1) % 4], vals=[1.0]))
+        monkeypatch.setattr(SparseHermitian, "__init__", counted)
+        builds.clear()
+        ts.total(drop_tol=1e-14)
+        monkeypatch.undo()
+        counts.append(len(builds))
+    assert counts[0] == counts[1]
