@@ -14,7 +14,7 @@ from .bounds import scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
 from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError,
                      ProgramError, SolverError)
-from .eigensolve import solve_spectrum
+from .eigensolve import DEFAULT_SEED, solve_spectrum
 from .hamiltonian import assemble
 from .program import Pin, Program, load_program
 from .semantics import run_program
@@ -43,14 +43,19 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=7, help="deterministic solver seed")
-    p.add_argument("--dense-cutoff", type=int, default=4096,
-                   help="largest dimension solved by the dense oracle")
-    p.add_argument("--k", type=int, default=None, help="eigenpairs for the iterative solver")
-    p.add_argument("--tol", type=float, default=0.0, help="iterative solver tolerance")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+_OPTIONS = {
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="deterministic solver seed"),
+    "--k": dict(type=int, default=None, help="eigenpairs above the dense size (default 2^M + 1)"),
+    "--tol": dict(type=float, default=0.0, help="iterative solver tolerance"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """The named shared options, then --config and --show-config."""
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
     p.add_argument("--config", default=None, help="JSON file with default option values")
     p.add_argument("--show-config", action="store_true",
                    help="print resolved options and exit")
@@ -65,7 +70,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_run = commands["run"] = sub.add_parser(
         "run", help="solve a program file, print its output as JSON")
     p_run.add_argument("--program", required=True, help="program JSON file")
-    _add_common(p_run)
+    _add_common(p_run, "--seed", "--tol", "--out")
 
     p_gap = commands["gap-scan"] = sub.add_parser(
         "gap-scan", help="sweep N, emit gap/bound rows as CSV")
@@ -77,7 +82,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_gap.add_argument("--beta", type=float, default=1.0)
     p_gap.add_argument("--timings", action="store_true",
                        help="append a wall-time column (breaks byte determinism)")
-    _add_common(p_gap)
+    _add_common(p_gap, "--seed", "--k", "--tol", "--out", "--format")
 
     p_det = commands["detect"] = sub.add_parser(
         "detect", help="detection probability sweep over beta")
@@ -85,16 +90,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_det.add_argument("--n", type=int, default=4)
     p_det.add_argument("--betas", default="1.0",
                        help="comma list of tipping factors; 1/sqrt(MN) is always included")
-    _add_common(p_det)
+    _add_common(p_det, "--seed", "--tol", "--out", "--format")
 
     p_spec = commands["spectrum"] = sub.add_parser(
         "spectrum", help="dump low-lying levels of a program")
     p_spec.add_argument("--program", required=True)
-    _add_common(p_spec)
+    _add_common(p_spec, "--seed", "--k", "--tol", "--out", "--format")
 
     p_ver = commands["verify"] = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--checks", default=None, help="comma list of check names")
-    _add_common(p_ver)
+    _add_common(p_ver, "--seed")
     return parser, commands
 
 
@@ -111,8 +116,12 @@ def _apply_config(parser: argparse.ArgumentParser, commands: dict,
         if not isinstance(values, dict):
             raise ProgramError("config file must hold a JSON object")
         defaults = {k.replace("-", "_"): v for k, v in values.items()}
-        for p in commands.values():
-            p.set_defaults(**defaults)  # subparsers own the option defaults
+        owned = {p: {a.dest for a in p._actions} for p in commands.values()}
+        unknown = sorted(set(defaults).difference(*owned.values()))
+        if unknown:
+            raise ProgramError(f"unknown config key(s): {', '.join(unknown)}")
+        for p, dests in owned.items():  # subparsers own the option defaults
+            p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     return parser.parse_args(argv)
 
 
@@ -129,8 +138,7 @@ def _maybe_show_config(args) -> bool:
 
 def cmd_run(args) -> int:
     program = load_program(args.program)
-    result = run_program(program, dense_cutoff=args.dense_cutoff, seed=args.seed,
-                         tol=args.tol)
+    result = run_program(program, seed=args.seed, tol=args.tol)
     doc = {
         "qubits": program.num_qubits,
         "steps": program.num_steps,
@@ -151,6 +159,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _eigenpairs(args, num_qubits: int) -> int:
+    """--k, by default 2^M + 1: the unpinned ground manifold and the level above."""
+    if args.k is not None and args.k < 1:
+        raise ProgramError(f"--k must be at least 1, got {args.k}")
+    return 2 ** num_qubits + 1 if args.k is None else args.k
+
+
 def _gap_row(args, N: int):
     import time
     t0 = time.perf_counter()
@@ -168,8 +183,7 @@ def _gap_row(args, N: int):
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,
                           tip_beta=None if args.beta == 1.0 else args.beta)
         _, H = assemble(program)
-        res = solve_spectrum(H, k=args.k or 2 ** args.m + 1, dense_cutoff=args.dense_cutoff,
-                             tol=args.tol, seed=args.seed)
+        res = solve_spectrum(H, k=args.k, tol=args.tol, seed=args.seed)
         row.update(e0=res.ground_energy, gap=res.gap, upper=upper_bound(program),
                    alpha4=None if res.gap is None else res.gap * (N + 1) ** 4,
                    iterations=res.matvec_count)
@@ -185,6 +199,7 @@ def _gap_row(args, N: int):
 def cmd_gap_scan(args) -> int:
     if args.n_max < args.n_min:
         raise ProgramError(f"empty N range {args.n_min}..{args.n_max}")
+    args.k = _eigenpairs(args, args.m)  # checked once, before any row
     rows = [_gap_row(args, N) for N in range(args.n_min, args.n_max + 1)]
     ok_rows = [r for r in rows if r["status"] == "ok"]
     columns = ["N", "M", "gates", "e0", "gap", "upper", "alpha4", "iterations", "status"]
@@ -207,11 +222,11 @@ def cmd_gap_scan(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    betas = []
-    for tok in str(args.betas).split(","):
-        tok = tok.strip()
-        if tok:
-            betas.append(float(tok))
+    tokens = [tok.strip() for tok in str(args.betas).split(",") if tok.strip()]
+    try:
+        betas = [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ProgramError(f"--betas must be a comma list of numbers, got {args.betas!r}") from exc
     default_beta = choose_beta(args.m, args.n)
     if not any(abs(b - default_beta) < 1e-12 for b in betas):
         betas.append(default_beta)
@@ -222,8 +237,7 @@ def cmd_detect(args) -> int:
         program = Program(num_qubits=args.m, num_steps=args.n,
                           input_pins=[Pin(q, 0) for q in range(args.m)],
                           tip_beta=None if beta == 1.0 else beta)
-        res = run_program(program, dense_cutoff=args.dense_cutoff, seed=args.seed,
-                          tol=args.tol)
+        res = run_program(program, seed=args.seed, tol=args.tol)
         rep = res.detection
         return {"beta": beta, "p_all": rep.p_all_final,
                 "predicted": rep.predicted_gate_free,
@@ -244,10 +258,9 @@ def cmd_detect(args) -> int:
 
 def cmd_spectrum(args) -> int:
     program = load_program(args.program)
+    k = _eigenpairs(args, program.num_qubits)
     _, H = assemble(program)
-    k = 2 ** program.num_qubits + 1 if args.k is None else args.k
-    res = solve_spectrum(H, k=k, dense_cutoff=args.dense_cutoff, tol=args.tol,
-                         seed=args.seed)
+    res = solve_spectrum(H, k=k, tol=args.tol, seed=args.seed)
     if args.fmt == "json":
         text = json.dumps({"eigenvalues": [float(v) for v in res.eigenvalues],
                            "ground_manifold_dim": res.ground_manifold_dim,
@@ -262,8 +275,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [n.strip() for n in args.checks.split(",")] if args.checks else None
-    results = verify_mod.run_all(dense_cutoff=args.dense_cutoff, seed=args.seed,
-                                 names=names)
+    results = verify_mod.run_all(seed=args.seed, names=names)
     width = max(len(r.name) for r in results)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

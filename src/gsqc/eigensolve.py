@@ -18,7 +18,8 @@ from scipy.optimize import brentq
 from .errors import ConvergenceError, SolverError
 from .sparse import SparseHermitian
 
-DENSE_DIM_CAP = 4096
+DENSE_SOLVE_MAX = 2048  # solve_spectrum: dense at or below, shift-invert above
+DENSE_DIM_CAP = 4096  # dense_spectrum's memory cap
 CLUSTER_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 DEFAULT_SEED = 7
@@ -51,22 +52,12 @@ def _cluster(values: np.ndarray, cluster_tol: float) -> tuple[int, float | None]
     return dim, gap
 
 
-def _as_operator(H) -> tuple[int, object]:
-    if isinstance(H, SparseHermitian):
-        return H.dim, H
-    if sp.issparse(H):
-        return H.shape[0], H
-    H = np.asarray(H)
-    return H.shape[0], H
-
-
-def dense_spectrum(H, max_dim: int = DENSE_DIM_CAP, vectors: bool = True,
+def dense_spectrum(H: SparseHermitian, max_dim: int = DENSE_DIM_CAP, vectors: bool = True,
                    cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
     """Full spectrum by dense Hermitian diagonalization; the oracle solver."""
-    dim, op = _as_operator(H)
-    if dim > max_dim:
-        raise ValueError(f"dense_spectrum: dimension {dim} exceeds cap {max_dim}")
-    dense = op.toarray() if hasattr(op, "toarray") else np.asarray(op)
+    if H.dim > max_dim:
+        raise ValueError(f"dense_spectrum: dimension {H.dim} exceeds cap {max_dim}")
+    dense = H.toarray()
     if vectors:
         vals, vecs = np.linalg.eigh(dense)
     else:
@@ -86,7 +77,7 @@ def _complete_cluster(vals: np.ndarray, k: int, dim: int,
     return manifold, gap
 
 
-def low_lying(H, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
+def low_lying(H: SparseHermitian, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
               cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
     """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``).
 
@@ -101,7 +92,7 @@ def low_lying(H, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
     Falls back to the dense oracle for tiny dimensions and for k too close
     to the dimension for ARPACK.
     """
-    dim, op = _as_operator(H)
+    dim = H.dim
     if k < 1:
         raise ValueError("k must be >= 1")
     # Lanczos from one start vector sees the further copies of a degenerate
@@ -109,12 +100,12 @@ def low_lying(H, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
     # gives them the iterations to emerge.
     nev = k + max(4, k // 2)
     if 2 * nev >= dim or dim <= 32:
-        result = dense_spectrum(op, max_dim=max(dim, DENSE_DIM_CAP), cluster_tol=cluster_tol)
+        result = dense_spectrum(H, max_dim=max(dim, DENSE_DIM_CAP), cluster_tol=cluster_tol)
         vals, vecs = result.eigenvalues[:k], result.eigenvectors[:, :k]
         manifold, gap = _complete_cluster(vals, k, dim, cluster_tol)
         return SpectralResult(vals, vecs, manifold, gap, method="dense-fallback")
 
-    csr = op.to_csr() if isinstance(op, SparseHermitian) else sp.csr_matrix(op)
+    csr = H.to_csr()
     scale = float(np.max(np.abs(csr.diagonal()), initial=0.0)) or 1.0
     sigma = -1e-3 * scale
     try:
@@ -149,17 +140,13 @@ def low_lying(H, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
                           matvec_count=solves)
 
 
-def solve_spectrum(H, k: int | None = None, dense_cutoff: int = DENSE_DIM_CAP,
-                   tol: float = 0.0, seed: int = DEFAULT_SEED,
+def solve_spectrum(H: SparseHermitian, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
                    cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
-    """Dispatch: dense oracle up to the cutoff (``k`` is ignored there), the
-    k-pair iterative solver above it.  Callers pass k unconditionally."""
-    dim, op = _as_operator(H)
-    if dim <= dense_cutoff:
-        return dense_spectrum(op, max_dim=dense_cutoff, cluster_tol=cluster_tol)
-    if k is None:
-        raise SolverError(f"dimension {dim} above dense cutoff {dense_cutoff}: pass k")
-    return low_lying(op, k, tol=tol, seed=seed, cluster_tol=cluster_tol)
+    """The dimension picks the solver: the dense oracle's full spectrum at or
+    below DENSE_SOLVE_MAX (``k`` unused), the k lowest pairs by shift-invert above."""
+    if H.dim <= DENSE_SOLVE_MAX:
+        return dense_spectrum(H, cluster_tol=cluster_tol)
+    return low_lying(H, k, tol=tol, seed=seed, cluster_tol=cluster_tol)
 
 
 # -- closed forms for the single-qubit chain ---------------------------------

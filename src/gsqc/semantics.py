@@ -14,7 +14,7 @@ import numpy as np
 from .basis import ConfigurationBasis, enumerate_basis
 from .detection import build_report, DetectionReport
 from .errors import ConsistencyError, IndeterminateInputError, ProgramError
-from .eigensolve import solve_spectrum, DENSE_DIM_CAP, DEFAULT_SEED
+from .eigensolve import solve_spectrum, DEFAULT_SEED
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
                       validate_program)
@@ -137,8 +137,7 @@ class RunResult:
         return float(np.abs(np.vdot(self.logical_state, ref)) ** 2)
 
 
-def run_program(program: Program, dense_cutoff: int = DENSE_DIM_CAP,
-                seed: int = DEFAULT_SEED, tol: float = 0.0,
+def run_program(program: Program, seed: int = DEFAULT_SEED, tol: float = 0.0,
                 residual_tol: float = RUN_RESIDUAL_TOL) -> RunResult:
     """Assemble, solve for the ground state, verify development, read output.
 
@@ -149,7 +148,7 @@ def run_program(program: Program, dense_cutoff: int = DENSE_DIM_CAP,
         raise ProgramError("run_program requires every qubit input pinned")
     terms, H = assemble(program)
     basis = terms.basis
-    result = solve_spectrum(H, k=2, dense_cutoff=dense_cutoff, tol=tol, seed=seed)
+    result = solve_spectrum(H, k=2, tol=tol, seed=seed)
     psi = result.ground_vector()
     residual = verify_development(psi, program, basis)
     if residual > residual_tol:

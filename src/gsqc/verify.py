@@ -66,7 +66,7 @@ def gate_oracle_levels(N: int, j: int, eps: float = 1.0) -> np.ndarray:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_single_qubit_spectrum(dense_cutoff=4096, seed=7):
+def check_single_qubit_spectrum(seed=7):
     worst = 0.0
     for N in range(1, 9):
         prog = Program(num_qubits=1, num_steps=N)
@@ -80,7 +80,7 @@ def check_single_qubit_spectrum(dense_cutoff=4096, seed=7):
     return worst < 1e-10, f"max deviation {worst:.2e}"
 
 
-def check_char_det_vs_dense(dense_cutoff=4096, seed=7):
+def check_char_det_vs_dense(seed=7):
     worst = 0.0
     for N in (3, 6):
         for beta in (1.0, 0.5, 0.25):
@@ -94,7 +94,7 @@ def check_char_det_vs_dense(dense_cutoff=4096, seed=7):
     return worst < 1e-8, f"max |root mismatch / det at eigenvalue| {worst:.2e}"
 
 
-def check_gauge_invariance(dense_cutoff=4096, seed=7):
+def check_gauge_invariance(seed=7):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for M, N in ((1, 4), (2, 3)):
@@ -108,17 +108,17 @@ def check_gauge_invariance(dense_cutoff=4096, seed=7):
     return worst < 1e-9, f"max spectral deviation {worst:.2e}"
 
 
-def check_development_residual(dense_cutoff=4096, seed=7):
+def check_development_residual(seed=7):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
         prog = random_program(rng, max_qubits=2, max_steps=5, max_two_body=2)
-        res = run_program(prog, dense_cutoff=dense_cutoff, seed=seed)
+        res = run_program(prog, seed=seed)
         worst = max(worst, res.residual)
     return worst <= 1e-8, f"max development residual {worst:.2e}"
 
 
-def check_cnot_spectrum_oracle(dense_cutoff=4096, seed=7):
+def check_cnot_spectrum_oracle(seed=7):
     worst = 0.0
     for N in (2, 4):
         for j in range(1, N + 1):
@@ -127,7 +127,7 @@ def check_cnot_spectrum_oracle(dense_cutoff=4096, seed=7):
     return worst < 1e-9, f"max restricted-level deviation {worst:.2e}"
 
 
-def check_gate_commutation(dense_cutoff=4096, seed=7):
+def check_gate_commutation(seed=7):
     cases = [
         (4, 3, gate_cnot(1, 0, 1), gate_cnot(3, 2, 3)),
         (3, 4, gate_cnot(1, 0, 1), gate_cnot(3, 1, 2)),
@@ -145,7 +145,7 @@ def check_gate_commutation(dense_cutoff=4096, seed=7):
     return worst == 0.0, f"max commutator entry {worst:.2e}"
 
 
-def check_ground_manifold(dense_cutoff=4096, seed=7):
+def check_ground_manifold(seed=7):
     details = []
     grid = [
         Program(num_qubits=1, num_steps=4),
@@ -154,15 +154,14 @@ def check_ground_manifold(dense_cutoff=4096, seed=7):
     ]
     for prog in grid:
         _, H = ham.assemble(prog)
-        result = solve_spectrum(H, k=2 ** prog.num_qubits + 1, dense_cutoff=dense_cutoff,
-                                seed=seed)
+        result = solve_spectrum(H, k=2 ** prog.num_qubits + 1, seed=seed)
         want = 2 ** prog.num_qubits
         if result.ground_manifold_dim != want:
             details.append(f"M={prog.num_qubits}: {result.ground_manifold_dim} != {want}")
     return not details, "; ".join(details) if details else "zero manifold is 2^M on the grid"
 
 
-def check_positive_semidefinite(dense_cutoff=4096, seed=7):
+def check_positive_semidefinite(seed=7):
     lows = []
     for prog in (
         Program(num_qubits=2, num_steps=4, gates=[gate_cnot(2, 0, 1)], tip_beta=0.5),
@@ -177,17 +176,17 @@ def check_positive_semidefinite(dense_cutoff=4096, seed=7):
     return low >= -1e-9, f"min eigenvalue {low:.2e}"
 
 
-def check_tipped_detection(dense_cutoff=4096, seed=7):
+def check_tipped_detection(seed=7):
     worst = 0.0
     for M, N, beta in ((1, 3, 1.0), (2, 3, 0.5), (3, 3, choose_beta(3, 3))):
         prog = Program(num_qubits=M, num_steps=N, tip_beta=beta,
                        input_pins=[Pin(q, 0) for q in range(M)])
-        res = run_program(prog, dense_cutoff=dense_cutoff, seed=seed)
+        res = run_program(prog, seed=seed)
         worst = max(worst, abs(res.detection.p_all_final - predicted_gate_free(M, N, beta)))
     return worst < 1e-9, f"max |p_all - (1+b^2 N)^-M| {worst:.2e}"
 
 
-def check_readout_exactness(dense_cutoff=4096, seed=7):
+def check_readout_exactness(seed=7):
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     worst_energy, ok = 0.0, True
     for V in (0.1, 1.0, 10.0):
@@ -207,20 +206,20 @@ def check_readout_exactness(dense_cutoff=4096, seed=7):
     return ok and worst_energy < 1e-9, f"ground energy {worst_energy:.2e}, bits correct: {ok}"
 
 
-def check_cid_synchronization(dense_cutoff=4096, seed=7):
+def check_cid_synchronization(seed=7):
     worst = 0.0
     for M, N in ((2, 3), (3, 4)):
         gates = [gate_cid(N - (M - 2 - k), k, k + 1) for k in range(M - 1)]
         prog = Program(num_qubits=M, num_steps=N, gates=gates,
                        input_pins=[Pin(q, 0) for q in range(M)])
         _, H = ham.assemble(prog)
-        result = solve_spectrum(H, k=2, dense_cutoff=dense_cutoff, seed=seed)
+        result = solve_spectrum(H, k=2, seed=seed)
         sync = cid_sync_check(result.ground_vector(), enumerate_basis(prog), prog)
         worst = max(worst, abs(sync.conditional - 1.0))
     return worst < 1e-10, f"max |conditional - 1| {worst:.2e}"
 
 
-def check_variational_upper_bound(dense_cutoff=4096, seed=7):
+def check_variational_upper_bound(seed=7):
     details = []
     for N in (2, 4):
         for j in sorted({1, max(1, N // 2), N}):
@@ -228,7 +227,7 @@ def check_variational_upper_bound(dense_cutoff=4096, seed=7):
                 prog = Program(num_qubits=2, num_steps=N, gates=[gate_cnot(j, 0, 1)],
                                tip_beta=beta)
                 _, H = ham.assemble(prog)
-                res = solve_spectrum(H, k=5, dense_cutoff=dense_cutoff, seed=seed)
+                res = solve_spectrum(H, k=5, seed=seed)
                 ub = upper_bound(prog)
                 if not (0 < res.gap <= ub * (1 + 1e-12)):
                     details.append(f"N={N} j={j} beta={beta}: gap {res.gap:.4e} vs bound {ub:.4e}")
@@ -251,13 +250,13 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(dense_cutoff: int = 4096, seed: int = 7, names=None) -> list[CheckResult]:
+def run_all(seed: int = 7, names=None) -> list[CheckResult]:
     results = []
     for name, fn in ALL_CHECKS:
         if names and name not in names:
             continue
         try:
-            passed, detail = fn(dense_cutoff=dense_cutoff, seed=seed)
+            passed, detail = fn(seed=seed)
         except Exception as exc:  # a crash is a failure with the exception named
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, passed=bool(passed), detail=detail))

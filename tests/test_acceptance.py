@@ -30,9 +30,9 @@ def report(num, text):
     print(f"[acceptance {num:02d}] PASS - {text}")
 
 
-def solved_ground(prog, dense_cutoff=2048):
+def solved_ground(prog):
     _, H = assemble(prog)
-    result = solve_spectrum(H, k=2 ** prog.num_qubits + 1, dense_cutoff=dense_cutoff)
+    result = solve_spectrum(H, k=2 ** prog.num_qubits + 1)
     return result, enumerate_basis(prog)
 
 
@@ -112,7 +112,7 @@ def test_criterion_05_ground_manifold_dimension():
     grid += [(3, 3, [])]
     for M, N, gates in grid:
         prog = Program(num_qubits=M, num_steps=N, gates=gates)
-        result, _ = solved_ground(prog, dense_cutoff=1500)
+        result, _ = solved_ground(prog)
         assert result.ground_manifold_dim == 2 ** M, (M, N, result.ground_manifold_dim)
         assert abs(result.ground_energy) < 1e-8
     report(5, f"{len(grid)} unpinned instances all have exactly 2^M zero modes")
@@ -123,7 +123,7 @@ def test_criterion_06_development_equation_randomized():
     worst_res, worst_fid = 0.0, 1.0
     for _ in range(50):
         prog = random_program(rng, max_qubits=3, max_steps=8, max_two_body=3)
-        res = run_program(prog, dense_cutoff=2048)
+        res = run_program(prog)
         bits = "".join(str(p.bit) for p in sorted(prog.input_pins, key=lambda p: p.qubit))
         fid = res.output_fidelity(reference_circuit(prog, bits))
         worst_res = max(worst_res, res.residual)

@@ -185,6 +185,40 @@ def test_detect_rejects_beta_zero(capsys):
     assert main(["detect", "--m", "1", "--n", "3", "--betas", "0"]) == 2
 
 
+def test_detect_non_numeric_beta_exit_2(capsys):
+    assert main(["detect", "--m", "1", "--n", "3", "--betas", "1.0,abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "abc" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_spectrum_k_below_one_exit_2(tmp_path, capsys, k):
+    path = tmp_path / "m2n22.json"  # dimension 2116, above the dense size
+    path.write_text(json.dumps({"qubits": 2, "steps": 22,
+                                "gates": [{"kind": "cnot", "row": 11, "control": 0,
+                                           "target": 1}]}))
+    assert main(["spectrum", "--program", str(path), "--k", k]) == 2
+    assert "--k must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_gap_scan_k_below_one_exit_2(capsys, k):
+    assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "3", "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--k must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["run", "--k", "3"], ["run", "--format", "json"],
+                                  ["detect", "--k", "3"], ["verify", "--out", "x"],
+                                  ["verify", "--dense-cutoff", "64"]])
+def test_command_rejects_option_it_does_not_read(not_program, argv):
+    if argv[0] == "run":
+        argv = argv + ["--program", not_program]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_spectrum_json(not_program, capsys):
     assert main(["spectrum", "--program", not_program, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -195,16 +229,24 @@ def test_spectrum_json(not_program, capsys):
 def test_show_config(capsys):
     assert main(["gap-scan", "--show-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["dense_cutoff"] == 4096 and doc["seed"] == 7
+    assert doc["seed"] == 7
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 11, "dense-cutoff": 128}))
+    cfg.write_text(json.dumps({"seed": 11, "tol": 1e-9}))
     assert main(["gap-scan", "--config", str(cfg), "--seed", "3", "--show-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["seed"] == 3  # flag wins
-    assert doc["dense_cutoff"] == 128  # file beats default
+    assert doc["tol"] == 1e-9  # file beats default
+
+
+@pytest.mark.parametrize("key", ["bogus", "dense-cutoff"])
+def test_config_file_unknown_key_exit_2(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 11, key: 1}))
+    assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 2
+    assert key.replace("-", "_") in capsys.readouterr().err
 
 
 def test_verify_passes(capsys):
@@ -228,9 +270,3 @@ def test_verify_names_broken_check(monkeypatch, capsys):
     assert "cnot-spectrum-oracle" in captured.out
     assert "FAIL" in captured.out
     assert "cnot-spectrum-oracle" in captured.err
-
-
-def test_verify_with_lowered_dense_cutoff():
-    # iterative solver takes over below the cutoff and the suite still passes
-    assert main(["verify", "--dense-cutoff", "64",
-                 "--checks", "ground-manifold,cid-synchronization"]) == 0

@@ -98,17 +98,24 @@ def test_low_lying_small_dimension_falls_back_dense():
 
 
 def test_solve_spectrum_dispatch():
-    _, H = assemble(Program(num_qubits=2, num_steps=3))
-    assert solve_spectrum(H, dense_cutoff=100).method == "dense"
-    res = solve_spectrum(H, k=5, dense_cutoff=10)
-    assert res.method in ("shift-invert", "lanczos-sa")
-    with pytest.raises(SolverError, match="pass k"):
-        solve_spectrum(H, dense_cutoff=10)
+    # the dimension alone picks the solver: the dense full spectrum up to
+    # dimension 2048, the k lowest by shift-invert above it
+    for prog, dim in ((Program(num_qubits=2, num_steps=3), 64),
+                      (Program(num_qubits=1, num_steps=1023), 2048)):
+        _, H = assemble(prog)
+        assert H.dim == dim
+        res = solve_spectrum(H, k=5)
+        assert res.method == "dense" and res.eigenvalues.size == dim
+    _, H = assemble(Program(num_qubits=2, num_steps=22, gates=[gate_cnot(11, 0, 1)]))
+    assert H.dim == 2116
+    res = solve_spectrum(H, k=5)
+    assert res.method == "shift-invert" and res.eigenvalues.size == 5
+    assert res.ground_manifold_dim == 4
 
 
 def test_low_lying_resolves_eightfold_manifold_against_dense():
     _, H = assemble(Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1)]))
-    res = solve_spectrum(H, k=9, dense_cutoff=64)
+    res = low_lying(H, k=9)
     assert res.method == "shift-invert"
     assert res.ground_manifold_dim == 8
     assert np.allclose(res.eigenvalues, dense_spectrum(H).eigenvalues[:9], atol=1e-8)
