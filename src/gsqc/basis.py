@@ -149,7 +149,6 @@ class ConfigurationBasis:
                 f"R={len(self.readout)}, dim={self.dim})")
 
 
-def enumerate_basis(program: Program, max_dim: int = DEFAULT_DIM_CAP) -> ConfigurationBasis:
+def enumerate_basis(program: Program) -> ConfigurationBasis:
     """Basis of the program's Hilbert space; raises BasisSizeError above the cap."""
-    return ConfigurationBasis(program.num_qubits, program.num_steps,
-                              readout=program.readout, max_dim=max_dim)
+    return ConfigurationBasis(program.num_qubits, program.num_steps, readout=program.readout)

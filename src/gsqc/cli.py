@@ -46,7 +46,6 @@ def _emit(text: str, out_path: str | None) -> None:
 _OPTIONS = {
     "--seed": dict(type=int, default=DEFAULT_SEED, help="deterministic solver seed"),
     "--k": dict(type=int, default=None, help="eigenpairs above the dense size (default 2^M + 1)"),
-    "--tol": dict(type=float, default=0.0, help="iterative solver tolerance"),
     "--out": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
 }
@@ -70,7 +69,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_run = commands["run"] = sub.add_parser(
         "run", help="solve a program file, print its output as JSON")
     p_run.add_argument("--program", required=True, help="program JSON file")
-    _add_common(p_run, "--seed", "--tol", "--out")
+    _add_common(p_run, "--seed", "--out")
 
     p_gap = commands["gap-scan"] = sub.add_parser(
         "gap-scan", help="sweep N, emit gap/bound rows as CSV")
@@ -82,7 +81,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_gap.add_argument("--beta", type=float, default=1.0)
     p_gap.add_argument("--timings", action="store_true",
                        help="append a wall-time column (breaks byte determinism)")
-    _add_common(p_gap, "--seed", "--k", "--tol", "--out", "--format")
+    _add_common(p_gap, "--seed", "--k", "--out", "--format")
 
     p_det = commands["detect"] = sub.add_parser(
         "detect", help="detection probability sweep over beta")
@@ -90,12 +89,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_det.add_argument("--n", type=int, default=4)
     p_det.add_argument("--betas", default="1.0",
                        help="comma list of tipping factors; 1/sqrt(MN) is always included")
-    _add_common(p_det, "--seed", "--tol", "--out", "--format")
+    _add_common(p_det, "--seed", "--out", "--format")
 
     p_spec = commands["spectrum"] = sub.add_parser(
         "spectrum", help="dump low-lying levels of a program")
     p_spec.add_argument("--program", required=True)
-    _add_common(p_spec, "--seed", "--k", "--tol", "--out", "--format")
+    _add_common(p_spec, "--seed", "--k", "--out", "--format")
 
     p_ver = commands["verify"] = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--checks", default=None, help="comma list of check names")
@@ -138,7 +137,7 @@ def _maybe_show_config(args) -> bool:
 
 def cmd_run(args) -> int:
     program = load_program(args.program)
-    result = run_program(program, seed=args.seed, tol=args.tol)
+    result = run_program(program, seed=args.seed)
     doc = {
         "qubits": program.num_qubits,
         "steps": program.num_steps,
@@ -174,16 +173,14 @@ def _gap_row(args, N: int):
     try:
         gates = []
         if args.gate != "none":
-            if args.m < 2:
-                raise ProgramError("two-body gates need at least 2 qubits")
-            j = max(1, (N + 1) // 2) if args.j == "mid" else int(args.j)
+            j = max(1, (N + 1) // 2) if args.j == "mid" else args.j
             from .program import gate_cnot, gate_cid
             gates = [gate_cnot(j, 0, 1) if args.gate == "cnot" else gate_cid(j, 0, 1)]
             row["gates"] = f"{args.gate}@{j}:0>1"
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,
                           tip_beta=None if args.beta == 1.0 else args.beta)
         _, H = assemble(program)
-        res = solve_spectrum(H, k=args.k, tol=args.tol, seed=args.seed)
+        res = solve_spectrum(H, k=args.k, seed=args.seed)
         row.update(e0=res.ground_energy, gap=res.gap, upper=upper_bound(program),
                    alpha4=None if res.gap is None else res.gap * (N + 1) ** 4,
                    iterations=res.matvec_count)
@@ -196,10 +193,32 @@ def _gap_row(args, N: int):
     return row
 
 
-def cmd_gap_scan(args) -> int:
+def _check_sweep(args) -> None:
+    """The options every row shares, checked once, before any row; a --j
+    beyond some rows' N stays a failure of those rows."""
+    if args.m < 1:
+        raise ProgramError(f"--m must be at least 1, got {args.m}")
+    if args.gate != "none" and args.m < 2:
+        raise ProgramError(f"--gate {args.gate} needs --m at least 2, got {args.m}")
+    if args.j != "mid":
+        try:
+            j = int(args.j)
+        except (TypeError, ValueError):
+            j = 0
+        if j < 1:
+            raise ProgramError(f"--j must be 'mid' or an integer at least 1, got {args.j!r}")
+        args.j = j
+    if not (0.0 < args.beta <= 1.0):
+        raise ProgramError(f"--beta must lie in (0, 1], got {args.beta}")
+    if args.n_min < 1:
+        raise ProgramError(f"--n-min must be at least 1, got {args.n_min}")
     if args.n_max < args.n_min:
         raise ProgramError(f"empty N range {args.n_min}..{args.n_max}")
-    args.k = _eigenpairs(args, args.m)  # checked once, before any row
+    args.k = _eigenpairs(args, args.m)
+
+
+def cmd_gap_scan(args) -> int:
+    _check_sweep(args)
     rows = [_gap_row(args, N) for N in range(args.n_min, args.n_max + 1)]
     ok_rows = [r for r in rows if r["status"] == "ok"]
     columns = ["N", "M", "gates", "e0", "gap", "upper", "alpha4", "iterations", "status"]
@@ -227,6 +246,8 @@ def cmd_detect(args) -> int:
         betas = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ProgramError(f"--betas must be a comma list of numbers, got {args.betas!r}") from exc
+    if args.m < 1 or args.n < 1:
+        raise ProgramError(f"--m and --n must be at least 1, got {args.m} and {args.n}")
     default_beta = choose_beta(args.m, args.n)
     if not any(abs(b - default_beta) < 1e-12 for b in betas):
         betas.append(default_beta)
@@ -237,7 +258,7 @@ def cmd_detect(args) -> int:
         program = Program(num_qubits=args.m, num_steps=args.n,
                           input_pins=[Pin(q, 0) for q in range(args.m)],
                           tip_beta=None if beta == 1.0 else beta)
-        res = run_program(program, seed=args.seed, tol=args.tol)
+        res = run_program(program, seed=args.seed)
         rep = res.detection
         return {"beta": beta, "p_all": rep.p_all_final,
                 "predicted": rep.predicted_gate_free,
@@ -260,7 +281,7 @@ def cmd_spectrum(args) -> int:
     program = load_program(args.program)
     k = _eigenpairs(args, program.num_qubits)
     _, H = assemble(program)
-    res = solve_spectrum(H, k=k, tol=args.tol, seed=args.seed)
+    res = solve_spectrum(H, k=k, seed=args.seed)
     if args.fmt == "json":
         text = json.dumps({"eigenvalues": [float(v) for v in res.eigenvalues],
                            "ground_manifold_dim": res.ground_manifold_dim,

@@ -78,8 +78,7 @@ def attach_readout(program: Program, qubits=None, strength: float | None = None)
     return new
 
 
-def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: float,
-                              energy_tol: float = FACTOR_ENERGY_TOL) -> str:
+def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: float) -> str:
     """Output bitstring from readout positions: bit = column opposite the particle.
 
     Valid only when the program's final state factors, which is equivalent to
@@ -92,9 +91,9 @@ def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: flo
     psi = _check_state(psi, basis)
     if sorted(basis.readout) != list(range(basis.num_qubits)):
         raise ValueError("readout inference needs a readout particle on every qubit")
-    if ground_energy > energy_tol:
+    if ground_energy > FACTOR_ENERGY_TOL:
         raise NonFactoringOutputError(
-            f"combined ground energy {ground_energy:.3e} above {energy_tol:g}: "
+            f"combined ground energy {ground_energy:.3e} above {FACTOR_ENERGY_TOL:g}: "
             "final state does not factor")
     bits = {}
     for k, (p0, _p1) in enumerate(readout_occupations(psi, basis)):

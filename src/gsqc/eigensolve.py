@@ -46,39 +46,36 @@ class SpectralResult:
         return self.eigenvectors[:, 0]
 
 
-def _cluster(values: np.ndarray, cluster_tol: float) -> tuple[int, float | None]:
-    dim = int(np.sum(values <= values[0] + cluster_tol))
+def _cluster(values: np.ndarray) -> tuple[int, float | None]:
+    dim = int(np.sum(values <= values[0] + CLUSTER_TOL))
     gap = float(values[dim] - values[0]) if dim < values.size else None
     return dim, gap
 
 
-def dense_spectrum(H: SparseHermitian, max_dim: int = DENSE_DIM_CAP, vectors: bool = True,
-                   cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
+def dense_spectrum(H: SparseHermitian, vectors: bool = True) -> SpectralResult:
     """Full spectrum by dense Hermitian diagonalization; the oracle solver."""
-    if H.dim > max_dim:
-        raise ValueError(f"dense_spectrum: dimension {H.dim} exceeds cap {max_dim}")
+    if H.dim > DENSE_DIM_CAP:
+        raise ValueError(f"dense_spectrum: dimension {H.dim} exceeds cap {DENSE_DIM_CAP}")
     dense = H.toarray()
     if vectors:
         vals, vecs = np.linalg.eigh(dense)
     else:
         vals, vecs = np.linalg.eigvalsh(dense), None
-    manifold, gap = _cluster(vals, cluster_tol)
+    manifold, gap = _cluster(vals)
     return SpectralResult(vals, vecs, manifold, gap, method="dense")
 
 
-def _complete_cluster(vals: np.ndarray, k: int, dim: int,
-                      cluster_tol: float) -> tuple[int, float | None]:
+def _complete_cluster(vals: np.ndarray, k: int, dim: int) -> tuple[int, float | None]:
     """Cluster the k lowest values; a cluster filling all k of fewer than dim
     values may continue above them, so it is an error, not a result."""
-    manifold, gap = _cluster(vals, cluster_tol)
+    manifold, gap = _cluster(vals)
     if manifold == k < dim:
         raise SolverError(f"lowest cluster fills all k={k} requested values and may "
                           f"extend beyond them: pass a larger k")
     return manifold, gap
 
 
-def low_lying(H: SparseHermitian, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
-              cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
+def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
     """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``).
 
     The assembled operators are positive semi-definite, so a small negative
@@ -86,11 +83,12 @@ def low_lying(H: SparseHermitian, k: int, tol: float = 0.0, seed: int = DEFAULT_
     ARPACK's inverse operator, and the k eigenvalues nearest the shift are
     the k smallest.  The start vector is seeded, so results are
     deterministic.  Every returned pair must meet the residual bar
-    max(tol, RESIDUAL_TOL * scale), where scale is the largest diagonal
-    entry; otherwise, or when ARPACK does not converge, ConvergenceError is
-    raised.  A lowest cluster that fills all k values raises SolverError.
-    Falls back to the dense oracle for tiny dimensions and for k too close
-    to the dimension for ARPACK.
+    RESIDUAL_TOL * scale, where scale is the largest diagonal entry;
+    otherwise, or when ARPACK does not converge, ConvergenceError is raised.
+    A lowest cluster that fills all k values raises SolverError.  Falls back
+    to the dense oracle for tiny dimensions and for k too close to the
+    dimension for ARPACK; that fallback raises SolverError above
+    DENSE_DIM_CAP.
     """
     dim = H.dim
     if k < 1:
@@ -100,9 +98,12 @@ def low_lying(H: SparseHermitian, k: int, tol: float = 0.0, seed: int = DEFAULT_
     # gives them the iterations to emerge.
     nev = k + max(4, k // 2)
     if 2 * nev >= dim or dim <= 32:
-        result = dense_spectrum(H, max_dim=max(dim, DENSE_DIM_CAP), cluster_tol=cluster_tol)
+        if dim > DENSE_DIM_CAP:
+            raise SolverError(f"k={k} needs a dense solve of dimension {dim}, above the "
+                              f"cap {DENSE_DIM_CAP}: pass a smaller k")
+        result = dense_spectrum(H)
         vals, vecs = result.eigenvalues[:k], result.eigenvectors[:, :k]
-        manifold, gap = _complete_cluster(vals, k, dim, cluster_tol)
+        manifold, gap = _complete_cluster(vals, k, dim)
         return SpectralResult(vals, vecs, manifold, gap, method="dense-fallback")
 
     csr = H.to_csr()
@@ -125,28 +126,26 @@ def low_lying(H: SparseHermitian, k: int, tol: float = 0.0, seed: int = DEFAULT_
     v0 = np.random.default_rng(seed).standard_normal(dim).astype(csr.dtype)
     try:
         vals, vecs = spla.eigsh(csr, nev, sigma=sigma, which="LM", OPinv=inverse,
-                                v0=v0, tol=tol)
+                                v0=v0)
     except spla.ArpackError as exc:  # includes ArpackNoConvergence
         raise ConvergenceError(f"ARPACK shift-invert failed: {exc}") from exc
     order = np.argsort(vals)[:k]
     vals, vecs = vals[order], vecs[:, order]
     worst = float(np.max(np.linalg.norm(csr @ vecs - vecs * vals, axis=0)))
-    bar = max(tol, RESIDUAL_TOL * scale)
+    bar = RESIDUAL_TOL * scale
     if worst > bar:
-        raise ConvergenceError(f"eigenpair residual {worst:.3e} above {bar:.3e}",
-                               best_residual=worst)
-    manifold, gap = _complete_cluster(vals, k, dim, cluster_tol)
+        raise ConvergenceError(f"eigenpair residual {worst:.3e} above {bar:.3e}")
+    manifold, gap = _complete_cluster(vals, k, dim)
     return SpectralResult(vals, vecs, manifold, gap, method="shift-invert",
                           matvec_count=solves)
 
 
-def solve_spectrum(H: SparseHermitian, k: int, tol: float = 0.0, seed: int = DEFAULT_SEED,
-                   cluster_tol: float = CLUSTER_TOL) -> SpectralResult:
+def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
     """The dimension picks the solver: the dense oracle's full spectrum at or
     below DENSE_SOLVE_MAX (``k`` unused), the k lowest pairs by shift-invert above."""
     if H.dim <= DENSE_SOLVE_MAX:
-        return dense_spectrum(H, cluster_tol=cluster_tol)
-    return low_lying(H, k, tol=tol, seed=seed, cluster_tol=cluster_tol)
+        return dense_spectrum(H)
+    return low_lying(H, k, seed=seed)
 
 
 # -- closed forms for the single-qubit chain ---------------------------------

@@ -22,14 +22,7 @@ class SolverError(GsqcError):
 
 
 class ConvergenceError(SolverError):
-    """Iterative eigensolver did not reach the requested residual.
-
-    Carries the best residual achieved so callers can report diagnostics.
-    """
-
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Iterative eigensolver did not converge or missed the residual bar."""
 
 
 class ConsistencyError(GsqcError):

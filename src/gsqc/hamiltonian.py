@@ -231,7 +231,7 @@ def apply_tipping(terms: TermSet, beta: float) -> TermSet:
     return TermSet(terms.basis, list(terms.terms), terms.beta * beta)
 
 
-def assemble(program: Program, max_dim: int | None = None) -> tuple[TermSet, SparseHermitian]:
+def assemble(program: Program) -> tuple[TermSet, SparseHermitian]:
     """Build the full Hamiltonian of a program.
 
     Returns the labeled TermSet (untipped terms, the program's tipping
@@ -240,8 +240,7 @@ def assemble(program: Program, max_dim: int | None = None) -> tuple[TermSet, Spa
     on every qubit chain.
     """
     validate_program(program)
-    kwargs = {} if max_dim is None else {"max_dim": max_dim}
-    basis = enumerate_basis(program, **kwargs)
+    basis = enumerate_basis(program)
     eps = program.epsilon
     terms = TermSet(basis, beta=program.beta)
 

@@ -16,7 +16,8 @@ from .errors import ProgramError
 
 UNITARITY_TOL = 1e-12
 
-_PROGRAM_KEYS = {"qubits", "steps", "epsilon", "gates", "pins", "tip_beta", "readout"}
+_PROGRAM_KEYS = {"qubits", "steps", "epsilon", "gates", "pins", "tip_beta", "readout",
+                 "readout_strength"}
 _GATE_KEYS_SINGLE = {"kind", "row", "qubit", "matrix"}
 _GATE_KEYS_TWOBODY = {"kind", "row", "control", "target"}
 _PIN_KEYS = {"qubit", "bit", "lambda"}
@@ -95,15 +96,18 @@ def check_unitary(matrix, where: str = "gate matrix") -> np.ndarray:
     """The 2x2 unitary ``matrix`` as an array; ProgramError if it is not one.
 
     A complex matrix with zero imaginary part comes back real, which keeps
-    the assembled Hamiltonian real.  NaN entries fail the check.
+    the assembled Hamiltonian real.  NaN, infinite and huge entries fail the check.
     """
     try:
         U = np.asarray(matrix, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProgramError(f"{where} must hold numbers: {exc}") from exc
     if U.shape != (2, 2):
         raise ProgramError(f"{where} must be 2x2, got shape {U.shape}")
-    if not (np.max(np.abs(U.conj().T @ U - np.eye(2))) <= UNITARITY_TOL):
+    # a unitary's entries lie in the unit disc; checking that first keeps
+    # NaN, infinite and huge entries out of the product
+    if not (np.max(np.abs(U)) <= 1.0 + UNITARITY_TOL
+            and np.max(np.abs(U.conj().T @ U - np.eye(2))) <= UNITARITY_TOL):
         raise ProgramError(f"{where} is not unitary to {UNITARITY_TOL:g}")
     return U.real if np.max(np.abs(U.imag)) == 0.0 else U
 
@@ -189,10 +193,12 @@ def validate_program(program: Program) -> None:
 def _matrix_from_json(obj, where: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProgramError(f"{where}: matrix entries must be numbers: {exc}") from exc
     if arr.shape != (2, 2, 2):
         raise ProgramError(f"{where}: matrix must be a 2x2 array of [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ProgramError(f"{where}: matrix entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -256,6 +262,7 @@ def program_from_dict(doc: dict) -> Program:
         input_pins=pins,
         tip_beta=doc.get("tip_beta"),
         readout=list(doc.get("readout", [])),
+        readout_strength=doc.get("readout_strength"),
     )
     validate_program(program)
     program.epsilon = float(program.epsilon)  # only now: float("abc") raises a bare ValueError
@@ -274,6 +281,8 @@ def program_to_dict(program: Program) -> dict:
     }
     if program.tip_beta is not None:
         doc["tip_beta"] = program.tip_beta
+    if program.readout_strength is not None:
+        doc["readout_strength"] = program.readout_strength
     for g in program.gates:
         if g.kind == "single":
             doc["gates"].append({"kind": "single", "row": g.row, "qubit": g.qubit,

@@ -137,8 +137,7 @@ class RunResult:
         return float(np.abs(np.vdot(self.logical_state, ref)) ** 2)
 
 
-def run_program(program: Program, seed: int = DEFAULT_SEED, tol: float = 0.0,
-                residual_tol: float = RUN_RESIDUAL_TOL) -> RunResult:
+def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     """Assemble, solve for the ground state, verify development, read output.
 
     Requires every input pinned so the ground state is unique.
@@ -148,12 +147,12 @@ def run_program(program: Program, seed: int = DEFAULT_SEED, tol: float = 0.0,
         raise ProgramError("run_program requires every qubit input pinned")
     terms, H = assemble(program)
     basis = terms.basis
-    result = solve_spectrum(H, k=2, tol=tol, seed=seed)
+    result = solve_spectrum(H, k=2, seed=seed)
     psi = result.ground_vector()
     residual = verify_development(psi, program, basis)
-    if residual > residual_tol:
+    if residual > RUN_RESIDUAL_TOL:
         raise ConsistencyError(
-            f"development residual {residual:.3e} above {residual_tol:g}")
+            f"development residual {residual:.3e} above {RUN_RESIDUAL_TOL:g}")
     block = row_projection(psi, program.num_steps, basis).amplitudes
     if basis.readout:
         # leading factor of the (qubit, readout) block; exact when the

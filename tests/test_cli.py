@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gsqc.cli
 import gsqc.eigensolve
@@ -208,9 +211,65 @@ def test_gap_scan_k_below_one_exit_2(capsys, k):
     assert captured.out == "" and "--k must be at least 1" in captured.err
 
 
+def test_spectrum_k_beyond_dense_cap_exit_3(tmp_path, capsys):
+    path = tmp_path / "m2n32.json"  # dimension 4356, above the 4096 dense cap
+    path.write_text(json.dumps({"qubits": 2, "steps": 32,
+                                "gates": [{"kind": "cnot", "row": 16, "control": 0,
+                                           "target": 1}]}))
+    assert main(["spectrum", "--program", str(path), "--k", "1500"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "pass a smaller k" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--m", "0"], ["--n", "0"], ["--m", "-2", "--n", "-1"]])
+def test_detect_size_below_one_exit_2(capsys, argv):
+    assert main(["detect", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--j", "abc"], ["--j", "0"], ["--m", "0"],
+                                  ["--gate", "cnot", "--m", "1"], ["--beta", "0"],
+                                  ["--beta", "1.5"], ["--beta", "nan"], ["--n-min", "0"]],
+                         ids=["j-abc", "j-0", "m-0", "cnot-m-1", "beta-0", "beta-1.5",
+                              "beta-nan", "n-min-0"])
+def test_gap_scan_bad_sweep_option_exit_2_before_any_row(monkeypatch, capsys, argv):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(gsqc.cli, "assemble", no_row)
+    base = {"--m": "2", "--gate": "cnot", "--n-min": "2", "--n-max": "3"}
+    base.update(zip(argv[::2], argv[1::2]))
+    assert main(["gap-scan", *[t for kv in base.items() for t in kv]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_gap_scan_gate_row_beyond_n_fails_only_that_row(capsys):
+    assert main(["gap-scan", "--m", "2", "--gate", "cnot", "--j", "3",
+                 "--n-min", "2", "--n-max", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["ProgramError", "ok"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from(["-1", "0", "1", "2"]), n_min=st.sampled_from(["-1", "0", "1", "2"]),
+       n_max=st.sampled_from(["0", "1", "2", "4"]),
+       gate=st.sampled_from(["none", "cnot", "cid"]),
+       j=st.sampled_from(["mid", "0", "1", "3", "9", "abc", "-1"]),
+       beta=st.sampled_from(["0", "0.5", "1", "1.5", "nan", "-1"]),
+       k=st.sampled_from(["-1", "0", "1", "5"]))
+def test_gap_scan_never_raises(m, n_min, n_max, gate, j, beta, k):
+    # M <= 2 and N <= 4: every row has dimension at most 100
+    argv = ["gap-scan", "--m", m, "--n-min", n_min, "--n-max", n_max, "--gate", gate,
+            "--j", j, "--beta", beta, "--k", k]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3)
+
+
 @pytest.mark.parametrize("argv", [["run", "--k", "3"], ["run", "--format", "json"],
                                   ["detect", "--k", "3"], ["verify", "--out", "x"],
-                                  ["verify", "--dense-cutoff", "64"]])
+                                  ["verify", "--dense-cutoff", "64"], ["run", "--tol", "0"]])
 def test_command_rejects_option_it_does_not_read(not_program, argv):
     if argv[0] == "run":
         argv = argv + ["--program", not_program]
@@ -234,14 +293,14 @@ def test_show_config(capsys):
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 11, "tol": 1e-9}))
+    cfg.write_text(json.dumps({"seed": 11, "k": 5}))
     assert main(["gap-scan", "--config", str(cfg), "--seed", "3", "--show-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["seed"] == 3  # flag wins
-    assert doc["tol"] == 1e-9  # file beats default
+    assert doc["k"] == 5  # file beats default
 
 
-@pytest.mark.parametrize("key", ["bogus", "dense-cutoff"])
+@pytest.mark.parametrize("key", ["bogus", "dense-cutoff", "tol"])
 def test_config_file_unknown_key_exit_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 11, key: 1}))

@@ -47,10 +47,16 @@ def test_dense_m1_n3_matches_exact_levels():
     assert np.allclose(res.eigenvalues, solve_tipped_levels(3), atol=1e-10)
 
 
+def m2_n32():
+    """M=2, N=32 with a mid CNOT: dimension 4356, above the 4096 dense cap."""
+    _, H = assemble(Program(num_qubits=2, num_steps=32, gates=[gate_cnot(16, 0, 1)]))
+    assert H.dim == 4356
+    return H
+
+
 def test_dense_dimension_cap():
-    _, H = assemble(Program(num_qubits=2, num_steps=3))
     with pytest.raises(ValueError, match="exceeds cap"):
-        dense_spectrum(H, max_dim=32)
+        dense_spectrum(m2_n32())
 
 
 def test_dense_residuals_and_orthonormality():
@@ -137,6 +143,13 @@ def test_low_lying_rejects_cluster_filling_k():
     _, H = assemble(Program(num_qubits=1, num_steps=1))
     with pytest.raises(SolverError, match="larger k"):
         low_lying(H, k=2)  # dense fallback
+
+
+def test_low_lying_dense_fallback_respects_cap():
+    # k=1500 leaves too few values for ARPACK, and a dense solve at 4356
+    # would exceed the cap
+    with pytest.raises(SolverError, match=r"k=1500.*4356.*4096.*smaller k"):
+        low_lying(m2_n32(), k=1500)
 
 
 def test_low_lying_deterministic():

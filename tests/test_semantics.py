@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gsqc.semantics
 from gsqc.basis import enumerate_basis
 from gsqc.eigensolve import dense_spectrum
 from gsqc.errors import ConsistencyError, IndeterminateInputError, ProgramError
@@ -167,10 +168,11 @@ def test_run_requires_all_pins():
         run_program(Program(num_qubits=1, num_steps=2))
 
 
-def test_run_consistency_error_on_loose_tolerance():
+def test_run_consistency_error_on_loose_tolerance(monkeypatch):
+    monkeypatch.setattr(gsqc.semantics, "RUN_RESIDUAL_TOL", 1e-18)
     prog = Program(num_qubits=1, num_steps=2, input_pins=[Pin(0, 0)])
     with pytest.raises(ConsistencyError):
-        run_program(prog, residual_tol=1e-18)
+        run_program(prog)
 
 
 def test_randomized_programs_verify_against_reference():
