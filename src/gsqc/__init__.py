@@ -19,7 +19,8 @@ from .eigensolve import (SpectralResult, analytic_levels, char_det, dense_spectr
                          low_lying, solve_spectrum, solve_tipped_levels)
 from .errors import (BasisSizeError, BoundViolationError, ConsistencyError,
                      ConvergenceError, GsqcError, IndeterminateInputError,
-                     NonFactoringOutputError, ProgramError, SolverError)
+                     NonFactoringOutputError, ProgramError, SolverError,
+                     TruncatedClusterError)
 from .hamiltonian import (apply_tipping, assemble, cid_term, cnot_term, pin_term,
                           readout_term, single_step_term)
 from .program import (GateSpec, Pin, Program, gate_cid, gate_cnot, gate_single,

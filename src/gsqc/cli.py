@@ -7,6 +7,7 @@ are byte-identical.  Config precedence: flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -14,7 +15,7 @@ from .bounds import scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
 from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError,
                      ProgramError, SolverError)
-from .eigensolve import DEFAULT_SEED, solve_spectrum
+from .eigensolve import DEFAULT_SEED, DENSE_SOLVE_MAX, solve_spectrum
 from .hamiltonian import assemble
 from .program import Pin, Program, load_program
 from .semantics import run_program
@@ -45,7 +46,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 _OPTIONS = {
     "--seed": dict(type=int, default=DEFAULT_SEED, help="deterministic solver seed"),
-    "--k": dict(type=int, default=None, help="eigenpairs above the dense size (default 2^M + 1)"),
+    "--k": dict(type=int, default=None, help="lowest levels to solve (default 2^M + 1)"),
     "--out": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
 }
@@ -60,7 +61,10 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
                    help="print resolved options and exit")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The one parser of this process, with its subcommand parsers; parsing
+    never changes it."""
     parser = argparse.ArgumentParser(prog="gsqc",
                                      description="ground-state quantum computer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,26 +106,50 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
-def _apply_config(parser: argparse.ArgumentParser, commands: dict,
-                  argv: list[str]) -> argparse.Namespace:
-    probe, _ = parser.parse_known_args(argv)
-    config = getattr(probe, "config", None)
-    if config:
-        try:
-            with open(config) as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ProgramError(f"cannot read config file: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ProgramError("config file must hold a JSON object")
-        defaults = {k.replace("-", "_"): v for k, v in values.items()}
-        owned = {p: {a.dest for a in p._actions} for p in commands.values()}
-        unknown = sorted(set(defaults).difference(*owned.values()))
-        if unknown:
-            raise ProgramError(f"unknown config key(s): {', '.join(unknown)}")
-        for p, dests in owned.items():  # subparsers own the option defaults
-            p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
-    return parser.parse_args(argv)
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value, checked and converted as the same flag's text would be."""
+    if action.nargs == 0:  # a switch such as --timings
+        if not isinstance(value, bool):
+            raise ProgramError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ProgramError(f"config key {key!r}: expected a string or a number, got {value!r}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError as exc:
+        raise ProgramError(f"config key {key!r}: invalid value {value!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ProgramError(f"config key {key!r}: {value!r} is not one of "
+                           f"{', '.join(map(str, action.choices))}")
+    return value
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Flags, then the config file's values, then the defaults."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    try:
+        with open(args.config) as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ProgramError(f"cannot read config file: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ProgramError("config file must hold a JSON object")
+    values = {k.replace("-", "_"): v for k, v in values.items()}
+    known = {a.dest for p in commands.values() for a in p._actions}
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise ProgramError(f"unknown config key(s): {', '.join(unknown)}")
+    # a key another command owns is ignored; null leaves the default
+    sub = commands[args.command]
+    preset = {a.dest: _config_value(a, a.dest, values[a.dest]) for a in sub._actions
+              if values.get(a.dest) is not None}
+    # the subcommand parser keeps what the namespace already holds and
+    # overwrites it only with the flags given
+    rest = argv[argv.index(args.command) + 1:]
+    return sub.parse_args(rest, argparse.Namespace(command=args.command, **preset))
 
 
 def _maybe_show_config(args) -> bool:
@@ -281,7 +309,8 @@ def cmd_spectrum(args) -> int:
     program = load_program(args.program)
     k = _eigenpairs(args, program.num_qubits)
     _, H = assemble(program)
-    res = solve_spectrum(H, k=k, seed=args.seed)
+    # every level up to DENSE_SOLVE_MAX, the k lowest above it
+    res = solve_spectrum(H, k=H.dim if H.dim <= DENSE_SOLVE_MAX else k, seed=args.seed)
     if args.fmt == "json":
         text = json.dumps({"eigenvalues": [float(v) for v in res.eigenvalues],
                            "ground_manifold_dim": res.ground_manifold_dim,
@@ -300,7 +329,7 @@ def cmd_verify(args) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {mark}  {r.detail}")
+        print(f"{r.name:<{width}}  {mark}  {r.seconds:6.2f} s  {r.detail}")
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} check(s) failed: {', '.join(failed)}", file=sys.stderr)
@@ -318,9 +347,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
     try:
-        args = _apply_config(parser, commands, list(sys.argv[1:] if argv is None else argv))
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
         if _maybe_show_config(args):
             return EXIT_OK
         return _COMMANDS[args.command](args)

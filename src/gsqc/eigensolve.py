@@ -1,5 +1,11 @@
 """Low-lying spectra: dense oracle, iterative solver, and closed-form chain levels.
 
+The history Hamiltonian is block-diagonal: hopping and gate terms connect
+only some configurations.  ``solve_spectrum`` finds the connected blocks on
+the sparsity pattern and solves each on its own, by size: LAPACK on the
+whole of a tiny block, LAPACK on only the lowest values of a small one, and
+shift-invert Lanczos on a large one.
+
 The single-qubit chain with identity development is two decoupled
 (N+1)-site hopping chains (one per column), so its exact spectrum is the
 chain level set doubled.  The closed-form characteristic determinant of one
@@ -11,15 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import connected_components
 
-from .errors import ConvergenceError, SolverError
+from .errors import ConvergenceError, SolverError, TruncatedClusterError
 from .sparse import SparseHermitian
 
-DENSE_SOLVE_MAX = 2048  # solve_spectrum: dense at or below, shift-invert above
+DENSE_SOLVE_MAX = 2048  # gsqc spectrum prints every level at or below this dimension
 DENSE_DIM_CAP = 4096  # dense_spectrum's memory cap
+TINY_BLOCK_MAX = 16  # whole-block np.linalg.eigh at or below
+DENSE_BLOCK_MAX = 512  # lowest-values LAPACK at or below, shift-invert above
+ARPACK_NEV_FRACTION = 0.15  # low_lying goes dense above this many Ritz values per dimension
 CLUSTER_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 DEFAULT_SEED = 7
@@ -27,7 +38,11 @@ DEFAULT_SEED = 7
 
 @dataclass
 class SpectralResult:
-    """Ascending eigenvalues, optional eigenvectors, ground-manifold bookkeeping."""
+    """Ascending eigenvalues, optional eigenvectors, ground-manifold bookkeeping.
+
+    ``solve_spectrum`` keeps the eigenvectors of the ground cluster only, one
+    column per member; ``matvec_count`` counts shift-invert LU solves.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
@@ -70,8 +85,8 @@ def _complete_cluster(vals: np.ndarray, k: int, dim: int) -> tuple[int, float | 
     values may continue above them, so it is an error, not a result."""
     manifold, gap = _cluster(vals)
     if manifold == k < dim:
-        raise SolverError(f"lowest cluster fills all k={k} requested values and may "
-                          f"extend beyond them: pass a larger k")
+        raise TruncatedClusterError(f"lowest cluster fills all k={k} requested values and "
+                                    f"may extend beyond them: pass a larger k")
     return manifold, gap
 
 
@@ -85,10 +100,11 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     deterministic.  Every returned pair must meet the residual bar
     RESIDUAL_TOL * scale, where scale is the largest diagonal entry;
     otherwise, or when ARPACK does not converge, ConvergenceError is raised.
-    A lowest cluster that fills all k values raises SolverError.  Falls back
-    to the dense oracle for tiny dimensions and for k too close to the
-    dimension for ARPACK; that fallback raises SolverError above
-    DENSE_DIM_CAP.
+    A lowest cluster that fills all k values raises TruncatedClusterError.
+    Falls back to the dense oracle for tiny dimensions and when ARPACK would
+    need more than ARPACK_NEV_FRACTION of the dimension in Ritz values
+    (beyond that it is slower than the dense solve); that fallback raises
+    SolverError above DENSE_DIM_CAP.
     """
     dim = H.dim
     if k < 1:
@@ -97,7 +113,7 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     # level only through rounding; converging extra Ritz values beyond k
     # gives them the iterations to emerge.
     nev = k + max(4, k // 2)
-    if 2 * nev >= dim or dim <= 32:
+    if nev > ARPACK_NEV_FRACTION * dim or dim <= 32:
         if dim > DENSE_DIM_CAP:
             raise SolverError(f"k={k} needs a dense solve of dimension {dim}, above the "
                               f"cap {DENSE_DIM_CAP}: pass a smaller k")
@@ -140,12 +156,83 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
                           matvec_count=solves)
 
 
+def _blocks(H: SparseHermitian):
+    """H's connected blocks as (global indices, local upper coordinates, values).
+
+    Found on the sparsity pattern with unit weights, so a complex H is never
+    cast to real.  H's upper coordinates are sorted by row, so they are the
+    pattern's CSR as they stand.
+    """
+    dim = H.dim
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(H.rows, minlength=dim), out=indptr[1:])
+    pattern = sp.csr_matrix((np.ones(H.nnz), H.cols, indptr), shape=(dim, dim))
+    count, labels = connected_components(pattern, directed=False)
+    if count == 1:
+        return [(np.arange(dim), H.rows, H.cols, H.vals)]
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    local = np.empty(dim, dtype=np.int64)
+    local[members] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    entry_block = labels[H.rows]
+    entries = np.argsort(entry_block, kind="stable")
+    cuts = np.cumsum(np.bincount(entry_block, minlength=count))[:-1]
+    return list(zip(np.split(members, np.cumsum(sizes)[:-1]),
+                    np.split(local[H.rows[entries]], cuts),
+                    np.split(local[H.cols[entries]], cuts),
+                    np.split(H.vals[entries], cuts)))
+
+
+def _solve_block(n: int, rows, cols, vals, m: int, seed: int):
+    """The m lowest eigenpairs of one block: (values, vectors, iterative, LU solves).
+
+    A lowest cluster that fills a block's m values leaves the union's k
+    lowest exact (the union's own check catches a cut ground cluster), so a
+    large block whose low_lying reports one is asked again for twice as many.
+    """
+    if n > DENSE_BLOCK_MAX:
+        block = SparseHermitian(n, rows, cols, vals)
+        while True:
+            try:
+                res = low_lying(block, m, seed=seed)
+                break
+            except TruncatedClusterError:
+                m = min(2 * m, n)
+        return res.eigenvalues, res.eigenvectors, res.method == "shift-invert", res.matvec_count
+    upper = np.zeros((n, n), dtype=vals.dtype)
+    upper[rows, cols] = vals
+    if n <= TINY_BLOCK_MAX:
+        values, vectors = np.linalg.eigh(upper, UPLO="U")
+        return values[:m], vectors[:, :m], False, 0
+    values, vectors = sla.eigh(upper, lower=False, subset_by_index=[0, m - 1])
+    return values, vectors, False, 0
+
+
 def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
-    """The dimension picks the solver: the dense oracle's full spectrum at or
-    below DENSE_SOLVE_MAX (``k`` unused), the k lowest pairs by shift-invert above."""
-    if H.dim <= DENSE_SOLVE_MAX:
-        return dense_spectrum(H)
-    return low_lying(H, k, seed=seed)
+    """The k lowest levels of H and the eigenvectors of its ground cluster.
+
+    Each connected block is asked for its min(k, size) lowest pairs, so the
+    k lowest of their union are exact.  The eigenvectors are one column per
+    ground-cluster member, zero outside the block that holds it.  A lowest
+    cluster that fills all k values of the union raises SolverError.
+    ``method`` is "shift-invert" when any block took it.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    index, values, vectors, iterative, solves = zip(*(
+        (members, *_solve_block(members.size, rows, cols, vals, min(k, members.size), seed))
+        for members, rows, cols, vals in _blocks(H)))
+    owner = np.repeat(np.arange(len(values)), [v.size for v in values])
+    column = np.concatenate([np.arange(v.size) for v in values])
+    union = np.concatenate(values)
+    lowest = np.argsort(union, kind="stable")[:k]
+    manifold, gap = _complete_cluster(union[lowest], k, H.dim)
+    ground = np.zeros((H.dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))
+    for j, i in enumerate(lowest[:manifold]):
+        ground[index[owner[i]], j] = vectors[owner[i]][:, column[i]]
+    return SpectralResult(union[lowest], ground, manifold, gap,
+                          method="shift-invert" if any(iterative) else "dense",
+                          matvec_count=sum(solves))
 
 
 # -- closed forms for the single-qubit chain ---------------------------------

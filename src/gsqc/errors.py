@@ -21,6 +21,10 @@ class SolverError(GsqcError):
     """Eigensolver failure unrelated to convergence (bracketing, dispatch, ...)."""
 
 
+class TruncatedClusterError(SolverError):
+    """The lowest cluster fills every requested value and may extend beyond them."""
+
+
 class ConvergenceError(SolverError):
     """Iterative eigensolver did not converge or missed the residual bar."""
 

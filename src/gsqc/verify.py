@@ -6,6 +6,7 @@ primary path, so a broken term builder or solver is named directly.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,11 +14,11 @@ import numpy as np
 from . import hamiltonian as ham
 from .basis import ConfigurationBasis, enumerate_basis
 from .bounds import upper_bound
-from .detection import (choose_beta, cid_sync_check, infer_output_from_readout,
-                        predicted_gate_free)
+from .detection import (attach_readout, choose_beta, cid_sync_check,
+                        infer_output_from_readout, predicted_gate_free)
 from .eigensolve import (analytic_levels, char_det, dense_spectrum,
                          solve_spectrum, solve_tipped_levels)
-from .program import Pin, Program, gate_cid, gate_cnot, gate_single
+from .program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from .semantics import (_random_unitary, random_program, reference_circuit,
                         run_program)
 
@@ -27,6 +28,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float
 
 
 def _region_weights(N: int, j: int, column: int, side: str) -> np.ndarray:
@@ -234,6 +236,40 @@ def check_variational_upper_bound(seed=7):
     return not details, "; ".join(details) if details else "gap within (0, bound] on the grid"
 
 
+def check_block_spectrum_oracle(seed=7):
+    """The block-wise solve against the whole-matrix dense oracle: levels,
+    ground manifold and ground-cluster projector."""
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases = [  # (program, k); dimensions 1000, 1024 and 400, each with several blocks
+        (Program(num_qubits=3, num_steps=4, gates=[gate_single(1, q, had) for q in range(3)]
+                 + [gate_cnot(3, 0, 1)]), 9),
+        (pin_all(Program(num_qubits=2, num_steps=15, gates=[gate_single(1, 0, had),
+                                                             gate_cnot(8, 0, 1)],
+                         tip_beta=choose_beta(2, 15)), "10"), 2),
+        (attach_readout(pin_all(Program(num_qubits=2, num_steps=4,
+                                        gates=[gate_single(2, 0, x), gate_cid(3, 0, 1)]),
+                                "01")), 2),
+    ]
+    worst_level = worst_projector = 0.0
+    details = []
+    for prog, k in cases:
+        _, H = ham.assemble(prog)
+        got, want = solve_spectrum(H, k=k, seed=seed), dense_spectrum(H)
+        if got.ground_manifold_dim != want.ground_manifold_dim:
+            details.append(f"dim {H.dim}: manifold {got.ground_manifold_dim} "
+                           f"!= {want.ground_manifold_dim}")
+            continue
+        levels = np.abs(got.eigenvalues - want.eigenvalues[:k])
+        worst_level = max(worst_level, float(np.max(levels)))
+        v, w = got.eigenvectors, want.eigenvectors[:, :want.ground_manifold_dim]
+        worst_projector = max(worst_projector,
+                              float(np.max(np.abs(v @ v.conj().T - w @ w.conj().T))))
+    passed = not details and worst_level < 1e-10 and worst_projector < 1e-8
+    return passed, "; ".join(details) or (f"max level deviation {worst_level:.2e}, "
+                                          f"projector {worst_projector:.2e}")
+
+
 ALL_CHECKS = [
     ("single-qubit-spectrum", check_single_qubit_spectrum),
     ("char-det-vs-dense", check_char_det_vs_dense),
@@ -247,6 +283,7 @@ ALL_CHECKS = [
     ("readout-exactness", check_readout_exactness),
     ("cid-synchronization", check_cid_synchronization),
     ("variational-upper-bound", check_variational_upper_bound),
+    ("block-spectrum-oracle", check_block_spectrum_oracle),
 ]
 
 
@@ -255,9 +292,11 @@ def run_all(seed: int = 7, names=None) -> list[CheckResult]:
     for name, fn in ALL_CHECKS:
         if names and name not in names:
             continue
+        start = time.perf_counter()
         try:
             passed, detail = fn(seed=seed)
         except Exception as exc:  # a crash is a failure with the exception named
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
+        results.append(CheckResult(name=name, passed=bool(passed), detail=detail,
+                                   seconds=time.perf_counter() - start))
     return results

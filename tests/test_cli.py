@@ -10,6 +10,7 @@ import gsqc.cli
 import gsqc.eigensolve
 import gsqc.hamiltonian
 import gsqc.semantics
+import gsqc.verify
 from gsqc.cli import main
 from gsqc.errors import ConvergenceError
 from gsqc.sparse import SparseHermitian
@@ -212,13 +213,30 @@ def test_gap_scan_k_below_one_exit_2(capsys, k):
 
 
 def test_spectrum_k_beyond_dense_cap_exit_3(tmp_path, capsys):
-    path = tmp_path / "m2n32.json"  # dimension 4356, above the 4096 dense cap
-    path.write_text(json.dumps({"qubits": 2, "steps": 32,
-                                "gates": [{"kind": "cnot", "row": 16, "control": 0,
-                                           "target": 1}]}))
+    path = tmp_path / "m1n2048.json"  # one block of dimension 4098, above the 4096 dense cap
+    path.write_text(json.dumps({"qubits": 1, "steps": 2048,
+                                "gates": [{"kind": "single", "row": 1024, "qubit": 0,
+                                           "matrix": [[[0.7071067811865476, 0],
+                                                       [0.7071067811865476, 0]],
+                                                      [[0.7071067811865476, 0],
+                                                       [-0.7071067811865476, 0]]]}]}))
     assert main(["spectrum", "--program", str(path), "--k", "1500"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "pass a smaller k" in captured.err
+
+
+def test_spectrum_k_beyond_dense_cap_solved_block_by_block(tmp_path, capsys):
+    path = tmp_path / "m2n32.json"  # dimension 4356, every block below the dense cap
+    path.write_text(json.dumps({"qubits": 2, "steps": 32,
+                                "gates": [{"kind": "cnot", "row": 16, "control": 0,
+                                           "target": 1}]}))
+    assert main(["spectrum", "--program", str(path), "--k", "1500"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    values = [float(line.split(",")[1]) for line in lines[1:]]
+    assert len(values) == 1500 and values == sorted(values)
+    assert main(["spectrum", "--program", str(path), "--k", "5"]) == 0
+    lowest = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert np.allclose(values[:5], lowest, atol=1e-12)
 
 
 @pytest.mark.parametrize("argv", [["--m", "0"], ["--n", "0"], ["--m", "-2", "--n", "-1"]])
@@ -308,10 +326,63 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys, key):
     assert key.replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [[1], 2.5, True, "abc", {"a": 1}],
+                         ids=["list", "fraction", "bool", "text", "object"])
+def test_config_value_runs_through_option_type_exit_2(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    for key in ("m", "k"):
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["gap-scan", "--config", str(cfg), "--n-min", "2", "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config key '{key}'" in captured.err
+
+
+def test_config_value_checked_against_choices_and_switches(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for doc in ({"gate": "toffoli"}, {"fmt": "xml"}, {"timings": 1}):
+        cfg.write_text(json.dumps(doc))
+        assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 2
+        assert f"config key '{next(iter(doc))}'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"k": "5", "beta": 0.5, "gate": "cid", "timings": True,
+                               "j": 2, "n-max": None}))
+    assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["k"], doc["beta"], doc["gate"], doc["timings"], doc["j"]) == (5, 0.5, "cid",
+                                                                            True, "2")
+    assert doc["n_max"] == 8  # null leaves the default
+
+
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    assert main(["gap-scan", "--show-config"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 11, "k": 5, "m": 3}))
+    assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 3
+    assert main(["gap-scan", "--show-config"]) == 0
+    assert json.loads(capsys.readouterr().out) == plain
+
+
+def test_parser_built_once_per_process(not_program, capsys):
+    gsqc.cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["run", "--program", not_program]) == 0
+    assert gsqc.cli.build_parser.cache_info().misses == 1
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--checks", "single-qubit-spectrum,gate-commutation"]) == 0
     out = capsys.readouterr().out
     assert "single-qubit-spectrum" in out and "PASS" in out
+
+
+def test_verify_block_spectrum_oracle_and_seconds(capsys):
+    assert len(gsqc.verify.ALL_CHECKS) == 13
+    assert main(["verify", "--checks", "block-spectrum-oracle"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    name, mark, seconds, unit = line.split()[:4]
+    assert (name, mark, unit) == ("block-spectrum-oracle", "PASS", "s")
+    assert float(seconds) >= 0.0
 
 
 def test_verify_names_broken_check(monkeypatch, capsys):

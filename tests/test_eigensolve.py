@@ -1,13 +1,22 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gsqc.bounds import upper_bound
+from gsqc.cli import main
+from gsqc.detection import attach_readout, choose_beta
 from gsqc.eigensolve import (analytic_levels, char_det, dense_spectrum, low_lying,
                              solve_spectrum, solve_tipped_levels)
 from gsqc.errors import SolverError
 from gsqc.hamiltonian import assemble
-from gsqc.program import Program, gate_cnot
+from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, pin_all,
+                          program_to_dict)
+from gsqc.semantics import random_program
 from gsqc.sparse import SparseHermitian
+
+HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def single_qubit_chain(N, beta=1.0, eps=1.0):
@@ -103,20 +112,89 @@ def test_low_lying_small_dimension_falls_back_dense():
     assert np.allclose(res.eigenvalues, [0, 0, 2], atol=1e-12)
 
 
-def test_solve_spectrum_dispatch():
-    # the dimension alone picks the solver: the dense full spectrum up to
-    # dimension 2048, the k lowest by shift-invert above it
-    for prog, dim in ((Program(num_qubits=2, num_steps=3), 64),
-                      (Program(num_qubits=1, num_steps=1023), 2048)):
+def test_solve_spectrum_dispatch(tmp_path, capsys):
+    # the k lowest levels at every size, each block solved by its own size
+    cases = ((Program(num_qubits=2, num_steps=3), 64, "dense"),
+             (Program(num_qubits=1, num_steps=1023), 2048, "shift-invert"),
+             (Program(num_qubits=2, num_steps=22, gates=[gate_cnot(11, 0, 1)]), 2116, "dense"))
+    for prog, dim, method in cases:
         _, H = assemble(prog)
         assert H.dim == dim
         res = solve_spectrum(H, k=5)
-        assert res.method == "dense" and res.eigenvalues.size == dim
-    _, H = assemble(Program(num_qubits=2, num_steps=22, gates=[gate_cnot(11, 0, 1)]))
-    assert H.dim == 2116
-    res = solve_spectrum(H, k=5)
-    assert res.method == "shift-invert" and res.eigenvalues.size == 5
+        assert res.method == method and res.eigenvalues.size == 5
+        assert res.eigenvectors.shape == (dim, res.ground_manifold_dim)
+    _, H = assemble(cases[0][0])
+    assert np.allclose(solve_spectrum(H, k=5).eigenvalues, dense_spectrum(H).eigenvalues[:5],
+                       atol=1e-12)
+    _, H = assemble(cases[1][0])
+    assert np.allclose(solve_spectrum(H, k=5).eigenvalues, solve_tipped_levels(1023)[:5],
+                       atol=1e-12)
     assert res.ground_manifold_dim == 4
+    # gsqc spectrum still prints every level up to dimension 2048
+    for prog, dim, _ in cases[:2]:
+        path = tmp_path / f"dim{dim}.json"
+        path.write_text(json.dumps(program_to_dict(prog)))
+        assert main(["spectrum", "--program", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == dim + 1
+
+
+def _oracle_cases():
+    """Seeded programs up to dimension 4096, as (program, k) parameters."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for pool, kind in (("orthogonal", "cnot"), ("unitary", "cid"), ("unitary", "cnot"),
+                       ("orthogonal", "cid")):
+        for i in range(3):
+            prog = random_program(rng, max_qubits=3, max_steps=4, max_two_body=3,
+                                  gate_pool=pool, two_body_kind=kind)
+            cases.append(pytest.param(prog, 2, id=f"pinned-{pool}-{kind}-{i}"))
+            tipped = replace(prog, tip_beta=float(choose_beta(prog.num_qubits, prog.num_steps)))
+            cases.append(pytest.param(tipped, 2, id=f"tipped-{pool}-{kind}-{i}"))
+    for i in range(4):
+        prog = random_program(rng, max_qubits=2, max_steps=5, gate_pool="permutation")
+        cases.append(pytest.param(attach_readout(prog), 2, id=f"readout-{i}"))
+    for M, N, gate in ((2, 6, gate_cnot), (2, 9, gate_cid), (3, 4, gate_cnot),
+                       (3, 5, gate_cid), (3, 6, gate_cnot), (3, 7, gate_cnot)):
+        prog = Program(num_qubits=M, num_steps=N, gates=[gate((N + 1) // 2, 0, 1)])
+        cases.append(pytest.param(prog, 2 ** M + 1, id=f"unpinned-{gate.__name__[5:]}-m{M}-n{N}"))
+    # blocks above the dense block size, so shift-invert
+    cases.append(pytest.param(Program(num_qubits=1, num_steps=300,
+                                      gates=[gate_single(150, 0, HAD)]), 3,
+                              id="single-block-m1-n300"))
+    cases.append(pytest.param(Program(num_qubits=3, num_steps=4,
+                                      gates=[gate_single(1, q, HAD) for q in range(3)]), 9,
+                              id="single-block-m3-n4"))
+    cases.append(pytest.param(pin_all(Program(
+        num_qubits=2, num_steps=15, gates=[gate_single(1, q, HAD) for q in range(2)]
+        + [gate_cnot(8, 0, 1)], tip_beta=0.3), "10"), 2, id="blocks-m2-n15-tipped"))
+    # a 624-dim block whose lowest level is twofold, so k=2 is asked again
+    def rot(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    cases.append(pytest.param(pin_all(Program(
+        num_qubits=2, num_steps=24, gates=[gate_cnot(12, 1, 0), gate_single(24, 0, rot(0.3))]
+        + [gate_single(r, 1, rot(0.2 * r)) for r in (1, 11, 23, 24)]), "10"), 2,
+        id="asked-again-m2-n24"))
+    return cases
+
+
+@pytest.mark.parametrize("prog,k", _oracle_cases())
+def test_solve_spectrum_matches_dense_oracle(prog, k):
+    _, H = assemble(prog)
+    got = solve_spectrum(H, k=k)
+    vectors = H.dim < 4096  # a dense eigh with vectors at 4096 takes seconds
+    want = dense_spectrum(H, vectors=vectors)
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues[:k])) <= 1e-10 * prog.epsilon
+    assert got.ground_manifold_dim == want.ground_manifold_dim
+    v = got.eigenvectors
+    assert v.shape == (H.dim, got.ground_manifold_dim)
+    if vectors:
+        w = want.eigenvectors[:, :want.ground_manifold_dim]
+        assert np.max(np.abs(v @ v.conj().T - w @ w.conj().T)) < 1e-8
+    else:
+        # orthonormal zero modes, as many as the oracle has: the same space
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-10
+        assert np.max(np.linalg.norm(H.to_csr() @ v, axis=0)) < 1e-9
 
 
 def test_low_lying_resolves_eightfold_manifold_against_dense():
@@ -150,6 +228,18 @@ def test_low_lying_dense_fallback_respects_cap():
     # would exceed the cap
     with pytest.raises(SolverError, match=r"k=1500.*4356.*4096.*smaller k"):
         low_lying(m2_n32(), k=1500)
+
+
+def test_low_lying_refuses_ritz_count_beyond_fraction_of_dimension():
+    # one block of dimension 4098: k=1000 needs 1500 Ritz values, beyond
+    # ARPACK_NEV_FRACTION of the dimension, and a dense solve is above the cap
+    _, H = assemble(Program(num_qubits=1, num_steps=2048, gates=[gate_single(1024, 0, HAD)]))
+    assert H.dim == 4098
+    with pytest.raises(SolverError, match=r"k=1000.*4098.*smaller k"):
+        low_lying(H, k=1000)
+    res = solve_spectrum(H, k=3)
+    assert res.method == "shift-invert"
+    assert np.allclose(res.eigenvalues, solve_tipped_levels(2048)[:3], atol=1e-12)
 
 
 def test_low_lying_deterministic():
