@@ -211,7 +211,7 @@ def _gap_row(args, N: int):
         res = solve_spectrum(H, k=args.k, seed=args.seed)
         row.update(e0=res.ground_energy, gap=res.gap, upper=upper_bound(program),
                    alpha4=None if res.gap is None else res.gap * (N + 1) ** 4,
-                   iterations=res.matvec_count)
+                   iterations=res.lu_solves)
     except Exception as exc:
         # the CSV cell keeps only the class name, so a comma in the message
         # cannot break the row

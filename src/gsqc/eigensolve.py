@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import brentq
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, SolverError, TruncatedClusterError
@@ -31,7 +30,7 @@ DENSE_DIM_CAP = 4096  # dense_spectrum's memory cap
 TINY_BLOCK_MAX = 16  # whole-block np.linalg.eigh at or below
 DENSE_BLOCK_MAX = 512  # lowest-values LAPACK at or below, shift-invert above
 ARPACK_NEV_FRACTION = 0.15  # low_lying goes dense above this many Ritz values per dimension
-CLUSTER_TOL = 1e-8
+CLUSTER_TOL = 1e-8  # times the energy scale (_scale)
 RESIDUAL_TOL = 1e-9
 DEFAULT_SEED = 7
 
@@ -41,7 +40,8 @@ class SpectralResult:
     """Ascending eigenvalues, optional eigenvectors, ground-manifold bookkeeping.
 
     ``solve_spectrum`` keeps the eigenvectors of the ground cluster only, one
-    column per member; ``matvec_count`` counts shift-invert LU solves.
+    column per member.  ``lu_solves`` counts the shift-invert LU solves
+    actually run: an identical copy of a solved block adds none.
     """
 
     eigenvalues: np.ndarray
@@ -49,7 +49,7 @@ class SpectralResult:
     ground_manifold_dim: int
     gap: float | None
     method: str
-    matvec_count: int = 0
+    lu_solves: int = 0
 
     @property
     def ground_energy(self) -> float:
@@ -61,8 +61,13 @@ class SpectralResult:
         return self.eigenvectors[:, 0]
 
 
-def _cluster(values: np.ndarray) -> tuple[int, float | None]:
-    dim = int(np.sum(values <= values[0] + CLUSTER_TOL))
+def _scale(H: SparseHermitian) -> float:
+    """H's energy scale: its largest |diagonal entry|, or 1 when that is 0."""
+    return float(np.max(np.abs(H.vals[H.rows == H.cols]), initial=0.0)) or 1.0
+
+
+def _cluster(values: np.ndarray, scale: float) -> tuple[int, float | None]:
+    dim = int(np.sum(values <= values[0] + CLUSTER_TOL * scale))
     gap = float(values[dim] - values[0]) if dim < values.size else None
     return dim, gap
 
@@ -76,14 +81,15 @@ def dense_spectrum(H: SparseHermitian, vectors: bool = True) -> SpectralResult:
         vals, vecs = np.linalg.eigh(dense)
     else:
         vals, vecs = np.linalg.eigvalsh(dense), None
-    manifold, gap = _cluster(vals)
+    manifold, gap = _cluster(vals, _scale(H))
     return SpectralResult(vals, vecs, manifold, gap, method="dense")
 
 
-def _complete_cluster(vals: np.ndarray, k: int, dim: int) -> tuple[int, float | None]:
+def _complete_cluster(vals: np.ndarray, k: int, dim: int,
+                      scale: float) -> tuple[int, float | None]:
     """Cluster the k lowest values; a cluster filling all k of fewer than dim
     values may continue above them, so it is an error, not a result."""
-    manifold, gap = _cluster(vals)
+    manifold, gap = _cluster(vals, scale)
     if manifold == k < dim:
         raise TruncatedClusterError(f"lowest cluster fills all k={k} requested values and "
                                     f"may extend beyond them: pass a larger k")
@@ -98,7 +104,7 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     ARPACK's inverse operator, and the k eigenvalues nearest the shift are
     the k smallest.  The start vector is seeded, so results are
     deterministic.  Every returned pair must meet the residual bar
-    RESIDUAL_TOL * scale, where scale is the largest diagonal entry;
+    RESIDUAL_TOL * scale, where scale is the largest |diagonal entry|;
     otherwise, or when ARPACK does not converge, ConvergenceError is raised.
     A lowest cluster that fills all k values raises TruncatedClusterError.
     Falls back to the dense oracle for tiny dimensions and when ARPACK would
@@ -113,17 +119,17 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     # level only through rounding; converging extra Ritz values beyond k
     # gives them the iterations to emerge.
     nev = k + max(4, k // 2)
+    scale = _scale(H)
     if nev > ARPACK_NEV_FRACTION * dim or dim <= 32:
         if dim > DENSE_DIM_CAP:
             raise SolverError(f"k={k} needs a dense solve of dimension {dim}, above the "
                               f"cap {DENSE_DIM_CAP}: pass a smaller k")
         result = dense_spectrum(H)
         vals, vecs = result.eigenvalues[:k], result.eigenvectors[:, :k]
-        manifold, gap = _complete_cluster(vals, k, dim)
+        manifold, gap = _complete_cluster(vals, k, dim, scale)
         return SpectralResult(vals, vecs, manifold, gap, method="dense-fallback")
 
     csr = H.to_csr()
-    scale = float(np.max(np.abs(csr.diagonal()), initial=0.0)) or 1.0
     sigma = -1e-3 * scale
     try:
         shifted = sp.csc_matrix(csr - sigma * sp.identity(dim, dtype=csr.dtype, format="csc"))
@@ -151,9 +157,9 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     bar = RESIDUAL_TOL * scale
     if worst > bar:
         raise ConvergenceError(f"eigenpair residual {worst:.3e} above {bar:.3e}")
-    manifold, gap = _complete_cluster(vals, k, dim)
+    manifold, gap = _complete_cluster(vals, k, dim, scale)
     return SpectralResult(vals, vecs, manifold, gap, method="shift-invert",
-                          matvec_count=solves)
+                          lu_solves=solves)
 
 
 def _blocks(H: SparseHermitian):
@@ -198,7 +204,7 @@ def _solve_block(n: int, rows, cols, vals, m: int, seed: int):
                 break
             except TruncatedClusterError:
                 m = min(2 * m, n)
-        return res.eigenvalues, res.eigenvectors, res.method == "shift-invert", res.matvec_count
+        return res.eigenvalues, res.eigenvectors, res.method == "shift-invert", res.lu_solves
     upper = np.zeros((n, n), dtype=vals.dtype)
     upper[rows, cols] = vals
     if n <= TINY_BLOCK_MAX:
@@ -212,27 +218,38 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
     """The k lowest levels of H and the eigenvectors of its ground cluster.
 
     Each connected block is asked for its min(k, size) lowest pairs, so the
-    k lowest of their union are exact.  The eigenvectors are one column per
-    ground-cluster member, zero outside the block that holds it.  A lowest
-    cluster that fills all k values of the union raises SolverError.
-    ``method`` is "shift-invert" when any block took it.
+    k lowest of their union are exact.  Blocks with bit-identical local data
+    are solved once: every copy takes the same values and local vectors, as
+    a solve of its own would give, placed at the copy's own indices.  The
+    eigenvectors are one column per ground-cluster member, zero outside the
+    block that holds it.  A lowest cluster that fills all k values of the
+    union raises SolverError.  ``method`` is "shift-invert" when any block
+    took it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    index, values, vectors, iterative, solves = zip(*(
-        (members, *_solve_block(members.size, rows, cols, vals, min(k, members.size), seed))
-        for members, rows, cols, vals in _blocks(H)))
+    solved = {}  # a block's exact local data -> its _solve_block result
+    index, copies = [], []
+    for members, rows, cols, vals in _blocks(H):
+        key = (members.size, vals.dtype, rows.tobytes(), cols.tobytes(), vals.tobytes())
+        if key not in solved:
+            solved[key] = _solve_block(members.size, rows, cols, vals,
+                                       min(k, members.size), seed)
+        index.append(members)
+        copies.append(solved[key])
+    values, vectors, _, _ = zip(*copies)
     owner = np.repeat(np.arange(len(values)), [v.size for v in values])
     column = np.concatenate([np.arange(v.size) for v in values])
     union = np.concatenate(values)
     lowest = np.argsort(union, kind="stable")[:k]
-    manifold, gap = _complete_cluster(union[lowest], k, H.dim)
+    manifold, gap = _complete_cluster(union[lowest], k, H.dim, _scale(H))
     ground = np.zeros((H.dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))
     for j, i in enumerate(lowest[:manifold]):
         ground[index[owner[i]], j] = vectors[owner[i]][:, column[i]]
+    runs = solved.values()
     return SpectralResult(union[lowest], ground, manifold, gap,
-                          method="shift-invert" if any(iterative) else "dense",
-                          matvec_count=sum(solves))
+                          method="shift-invert" if any(r[2] for r in runs) else "dense",
+                          lu_solves=sum(r[3] for r in runs))
 
 
 # -- closed forms for the single-qubit chain ---------------------------------
@@ -287,6 +304,7 @@ def solve_tipped_levels(N: int, eps: float = 1.0, beta: float = 1.0) -> np.ndarr
         raise ValueError("N must be >= 1")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
+    from scipy.optimize import brentq  # imported here: it is slow to load
 
     def bracket_fn(theta):
         return np.sin((N + 1) * theta) + (beta ** 2 - 1.0) * np.sin(N * theta)

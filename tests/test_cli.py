@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +372,14 @@ def test_parser_built_once_per_process(not_program, capsys):
     for _ in range(3):
         assert main(["run", "--program", not_program]) == 0
     assert gsqc.cli.build_parser.cache_info().misses == 1
+
+
+def test_import_cli_does_not_load_scipy_optimize():
+    # scipy.optimize is slow to load, and only solve_tipped_levels needs it
+    src = str(Path(gsqc.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import gsqc.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_verify_passes(capsys):

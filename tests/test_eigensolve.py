@@ -7,8 +7,9 @@ import pytest
 from gsqc.bounds import upper_bound
 from gsqc.cli import main
 from gsqc.detection import attach_readout, choose_beta
-from gsqc.eigensolve import (analytic_levels, char_det, dense_spectrum, low_lying,
-                             solve_spectrum, solve_tipped_levels)
+import gsqc.eigensolve
+from gsqc.eigensolve import (_blocks, _solve_block, analytic_levels, char_det, dense_spectrum,
+                             low_lying, solve_spectrum, solve_tipped_levels)
 from gsqc.errors import SolverError
 from gsqc.hamiltonian import assemble
 from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, pin_all,
@@ -93,7 +94,7 @@ def test_low_lying_matches_dense_oracle():
     dense = dense_spectrum(H)
     it = low_lying(H, k=9)
     assert np.allclose(it.eigenvalues, dense.eigenvalues[:9], atol=1e-8)
-    assert it.matvec_count > 0
+    assert it.lu_solves > 0
     V = it.eigenvectors
     assert np.max(np.abs(V.T @ V - np.eye(9))) < 1e-10
 
@@ -154,7 +155,8 @@ def _oracle_cases():
         prog = random_program(rng, max_qubits=2, max_steps=5, gate_pool="permutation")
         cases.append(pytest.param(attach_readout(prog), 2, id=f"readout-{i}"))
     for M, N, gate in ((2, 6, gate_cnot), (2, 9, gate_cid), (3, 4, gate_cnot),
-                       (3, 5, gate_cid), (3, 6, gate_cnot), (3, 7, gate_cnot)):
+                       (3, 5, gate_cid), (3, 5, gate_cnot), (3, 6, gate_cnot),
+                       (3, 7, gate_cnot)):
         prog = Program(num_qubits=M, num_steps=N, gates=[gate((N + 1) // 2, 0, 1)])
         cases.append(pytest.param(prog, 2 ** M + 1, id=f"unpinned-{gate.__name__[5:]}-m{M}-n{N}"))
     # blocks above the dense block size, so shift-invert
@@ -247,6 +249,99 @@ def test_low_lying_deterministic():
     a = low_lying(H, k=5, seed=3)
     b = low_lying(H, k=5, seed=3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0, 1e3, 1e9])
+def test_ground_cluster_scales_with_epsilon(eps):
+    def solved(e):
+        _, H = assemble(Program(num_qubits=2, num_steps=3, gates=[gate_cnot(2, 0, 1)],
+                                epsilon=e))
+        return [solve_spectrum(H, k=64), dense_spectrum(H), low_lying(H, k=5)]
+
+    for res, unit in zip(solved(eps), solved(1.0)):
+        assert res.ground_manifold_dim == 4
+        assert abs(res.gap / eps - unit.gap) <= 1e-9 * unit.gap
+
+
+# -- identical blocks -----------------------------------------------------------
+
+
+def gap_scan_row(N):
+    """The M=3 CNOT row of gap-scan: 16 blocks, 8 copies each of 2 distinct ones."""
+    _, H = assemble(Program(num_qubits=3, num_steps=N, gates=[gate_cnot((N + 1) // 2, 0, 1)]))
+    return H
+
+
+def counting_solve_block(monkeypatch):
+    calls = []
+    real = gsqc.eigensolve._solve_block
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gsqc.eigensolve, "_solve_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", range(4, 9))
+def test_gap_scan_rows_solve_each_distinct_block_once(N, monkeypatch):
+    H = gap_scan_row(N)
+    calls = counting_solve_block(monkeypatch)
+    res = solve_spectrum(H, k=9)
+    assert len(_blocks(H)) == 16 and len(calls) == 2
+    assert res.ground_manifold_dim == 8
+
+
+def test_copies_add_no_lu_solves():
+    H = gap_scan_row(8)
+    res = solve_spectrum(H, k=9)
+    each = sum(_solve_block(members.size, rows, cols, vals, min(9, members.size), 7)[3]
+               for members, rows, cols, vals in _blocks(H))
+    assert res.method == "shift-invert" and res.lu_solves > 0
+    assert 8 * res.lu_solves == each
+
+
+@pytest.mark.parametrize("n", [40, 600])  # a LAPACK block and a shift-invert block
+@pytest.mark.parametrize("changed", [False, True])
+def test_blocks_share_a_solve_only_when_bit_identical(n, changed, monkeypatch):
+    # two interleaved copies of a weighted chain Laplacian; the second copy's
+    # first hopping entry is one ulp smaller when changed
+    w = np.random.default_rng(n).uniform(0.5, 1.5, n - 1)
+    rows = np.concatenate([np.arange(n), np.arange(n - 1)])
+    cols = np.concatenate([np.arange(n), np.arange(1, n)])
+    vals = np.concatenate([np.append(w, 0.0) + np.insert(w, 0, 0.0), -w])
+    other = vals.copy()
+    if changed:
+        other[n] = np.nextafter(other[n], 0.0)
+    H = SparseHermitian(2 * n, np.concatenate([2 * rows, 2 * rows + 1]),
+                        np.concatenate([2 * cols, 2 * cols + 1]), np.concatenate([vals, other]))
+    calls = counting_solve_block(monkeypatch)
+    got = solve_spectrum(H, k=3)
+    assert len(calls) == (2 if changed else 1)
+    want = dense_spectrum(H)
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues[:3])) < 1e-10
+    assert got.ground_manifold_dim == want.ground_manifold_dim == 2
+
+
+def test_ground_columns_of_copies_sit_on_their_own_copy():
+    H = gap_scan_row(8)
+    blocks = _blocks(H)
+    label = np.empty(H.dim, dtype=np.int64)
+    for b, (members, *_) in enumerate(blocks):
+        label[members] = b
+    v = solve_spectrum(H, k=9).eigenvectors
+    owners = []
+    for j in range(v.shape[1]):
+        (owner,) = set(label[np.flatnonzero(v[:, j])])
+        owners.append(owner)
+    # eight columns on eight copies of one block, each the same local vector
+    assert len(set(owners)) == v.shape[1] == 8
+    assert len({tuple(a.tobytes() for a in blocks[b][1:]) for b in owners}) == 1
+    local = [v[blocks[b][0], j] for j, b in enumerate(owners)]
+    assert all(np.array_equal(x, local[0]) for x in local)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-12
+    assert np.max(np.linalg.norm(H.to_csr() @ v, axis=0)) < 1e-9
 
 
 # -- closed forms ---------------------------------------------------------------
