@@ -102,15 +102,16 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     The assembled operators are positive semi-definite, so a small negative
     shift makes the factorized operator strictly definite; its sparse LU is
     ARPACK's inverse operator, and the k eigenvalues nearest the shift are
-    the k smallest.  The start vector is seeded, so results are
-    deterministic.  Every returned pair must meet the residual bar
+    the k smallest.  Every returned pair must meet the residual bar
     RESIDUAL_TOL * scale, where scale is the largest |diagonal entry|;
     otherwise, or when ARPACK does not converge, ConvergenceError is raised.
     A lowest cluster that fills all k values raises TruncatedClusterError.
-    Falls back to the dense oracle for tiny dimensions and when ARPACK would
-    need more than ARPACK_NEV_FRACTION of the dimension in Ritz values
-    (beyond that it is slower than the dense solve); that fallback raises
-    SolverError above DENSE_DIM_CAP.
+    The start vector is seeded, but ARPACK keeps state between calls: two
+    calls on the same H can differ in the LU solve count and in the last
+    bits of the pairs, each meeting the residual bar.  Falls back to the
+    dense oracle when ARPACK would need more than ARPACK_NEV_FRACTION of the
+    dimension in Ritz values (beyond that it is slower than the dense
+    solve); that fallback raises SolverError above DENSE_DIM_CAP.
     """
     dim = H.dim
     if k < 1:
@@ -120,7 +121,7 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     # gives them the iterations to emerge.
     nev = k + max(4, k // 2)
     scale = _scale(H)
-    if nev > ARPACK_NEV_FRACTION * dim or dim <= 32:
+    if nev > ARPACK_NEV_FRACTION * dim:
         if dim > DENSE_DIM_CAP:
             raise SolverError(f"k={k} needs a dense solve of dimension {dim}, above the "
                               f"cap {DENSE_DIM_CAP}: pass a smaller k")
@@ -166,8 +167,8 @@ def _blocks(H: SparseHermitian):
     """H's connected blocks as (global indices, local upper coordinates, values).
 
     Found on the sparsity pattern with unit weights, so a complex H is never
-    cast to real.  H's upper coordinates are sorted by row, so they are the
-    pattern's CSR as they stand.
+    cast to real.  H's upper coordinates are in SparseHermitian's row-major
+    canonical order, so they are the pattern's CSR as they stand.
     """
     dim = H.dim
     indptr = np.zeros(dim + 1, dtype=np.int64)

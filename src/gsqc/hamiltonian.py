@@ -21,18 +21,27 @@ _NOT = np.array([[0.0, 1.0], [1.0, 0.0]])
 _BRANCH_UNITARIES = {"cnot": (_IDENTITY, _NOT), "cid": (_IDENTITY, _IDENTITY)}
 
 
+def _diagonal(idx: np.ndarray, value, dtype=np.float64):
+    """Coordinate piece putting ``value`` on the diagonal at idx."""
+    return idx, idx, np.full(idx.size, value, dtype=dtype)
+
+
+def _term(basis: ConfigurationBasis, pieces) -> SparseHermitian:
+    """One term from its (rows, cols, vals) coordinate pieces, in piece order."""
+    rows, cols, vals = zip(*pieces)
+    return SparseHermitian(basis.dim, np.concatenate(rows), np.concatenate(cols),
+                           np.concatenate(vals))
+
+
 def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray,
-                  eps: float, condition: dict | None = None):
-    """Entries of the row (row-1 <-> row) bond on one qubit, optionally
-    conditioned on fixed partner-qubit sites."""
+                  eps: float, condition: dict | None = None) -> list:
+    """Coordinate pieces of the row (row-1 <-> row) bond on one qubit,
+    optionally conditioned on fixed partner-qubit sites."""
     condition = dict(condition or {})
-    rows_out, cols_out, vals_out = [], [], []
     lo, hi = 2 * (row - 1), 2 * row
     # density part: +eps on rows row-1 and row
-    diag_idx = basis.indices_where({**condition, qubit: [lo, lo + 1, hi, hi + 1]})
-    rows_out.append(diag_idx)
-    cols_out.append(diag_idx)
-    vals_out.append(np.full(diag_idx.size, eps, dtype=U.dtype if np.iscomplexobj(U) else np.float64))
+    pieces = [_diagonal(basis.indices_where({**condition, qubit: [lo, lo + 1, hi, hi + 1]}),
+                        eps, U.dtype if np.iscomplexobj(U) else np.float64)]
     # hopping part: <to| H |from> = -eps * U[sigma, sigma']
     stride = basis.qubit_stride(qubit)
     for s_from in range(2):
@@ -42,10 +51,8 @@ def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray
             if amp == 0:
                 continue
             dst = src + (hi + s_to - (lo + s_from)) * stride
-            rows_out.append(dst)
-            cols_out.append(src)
-            vals_out.append(np.full(src.size, -eps * amp))
-    return np.concatenate(rows_out), np.concatenate(cols_out), np.concatenate(vals_out)
+            pieces.append((dst, src, np.full(src.size, -eps * amp)))
+    return pieces
 
 
 def single_step_term(basis: ConfigurationBasis, qubit: int, row: int, matrix,
@@ -58,8 +65,7 @@ def single_step_term(basis: ConfigurationBasis, qubit: int, row: int, matrix,
     if not (1 <= row <= basis.num_steps):
         raise ValueError(f"row {row} outside 1..{basis.num_steps}")
     U = check_unitary(matrix)
-    r, c, v = _bond_entries(basis, qubit, row, U, eps)
-    return SparseHermitian(basis.dim, r, c, v)
+    return _term(basis, _bond_entries(basis, qubit, row, U, eps))
 
 
 def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: int,
@@ -77,28 +83,18 @@ def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: in
     if control == target:
         raise ValueError("control and target must differ")
     lo, hi = 2 * (row - 1), 2 * row
-    rows_out, cols_out, vals_out = [], [], []
+    pieces = []
     # control advances (identity) while the target waits at row-1
     for col_t in range(2):
-        r, c, v = _bond_entries(basis, control, row, _IDENTITY, eps,
+        pieces += _bond_entries(basis, control, row, _IDENTITY, eps,
                                 condition={target: lo + col_t})
-        rows_out.append(r)
-        cols_out.append(c)
-        vals_out.append(v)
     # target advances through the branch unitary selected by the control column
     for col_c, U in enumerate(branch_unitaries):
-        r, c, v = _bond_entries(basis, target, row, U, eps,
-                                condition={control: hi + col_c})
-        rows_out.append(r)
-        cols_out.append(c)
-        vals_out.append(v)
+        pieces += _bond_entries(basis, target, row, U, eps, condition={control: hi + col_c})
     # penalty: target at the gate row while the control is still at row-1
-    pen = basis.indices_where({control: [lo, lo + 1], target: [hi, hi + 1]})
-    rows_out.append(pen)
-    cols_out.append(pen)
-    vals_out.append(np.full(pen.size, eps, dtype=np.float64))
-    return SparseHermitian(basis.dim, np.concatenate(rows_out),
-                           np.concatenate(cols_out), np.concatenate(vals_out))
+    pieces.append(_diagonal(basis.indices_where({control: [lo, lo + 1], target: [hi, hi + 1]}),
+                            eps))
+    return _term(basis, pieces)
 
 
 def cnot_term(basis: ConfigurationBasis, control: int, target: int, row: int,
@@ -148,31 +144,24 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
                         cond = dict(partner)
                         if gL.target != gE.target:
                             cond[gL.target] = _region_sites(basis, 0, jL)
-                        r, c, v = _bond_entries(basis, q, jL, _IDENTITY, eps, condition=cond)
-                        yield (f"sync[q{q},j{jE}->j{jL}]", SparseHermitian(basis.dim, r, c, v))
+                        pieces = _bond_entries(basis, q, jL, _IDENTITY, eps, condition=cond)
                     else:
                         # q is the later gate's target: copy its conditional bond
-                        rows_o, cols_o, vals_o = [], [], []
+                        pieces = []
                         for chi, U in enumerate(_BRANCH_UNITARIES[gL.kind]):
-                            r, c, v = _bond_entries(
+                            pieces += _bond_entries(
                                 basis, q, jL, U, eps,
                                 condition={**partner, gL.control: 2 * jL + chi})
-                            rows_o.append(r)
-                            cols_o.append(c)
-                            vals_o.append(v)
-                        yield (f"sync[q{q},j{jE}->j{jL}]",
-                               SparseHermitian(basis.dim, np.concatenate(rows_o),
-                                               np.concatenate(cols_o), np.concatenate(vals_o)))
                 else:
-                    r, c, v = _bond_entries(basis, q, jL, _IDENTITY, eps,
-                                            condition={gE.control: below_E})
-                    yield (f"sync[q{q},j{jE}->j{jL}]", SparseHermitian(basis.dim, r, c, v))
+                    pieces = _bond_entries(basis, q, jL, _IDENTITY, eps,
+                                           condition={gE.control: below_E})
+                yield (f"sync[q{q},j{jE}->j{jL}]", _term(basis, pieces))
                 # advanced later gate: re-enforce q's earlier bond
                 if q == gL.control:
                     at_or_above = _region_sites(basis, jL, N + 1)
-                    r, c, v = _bond_entries(basis, q, jE, _IDENTITY, eps,
-                                            condition={gL.target: at_or_above})
-                    yield (f"sync[q{q},j{jL}<-j{jE}]", SparseHermitian(basis.dim, r, c, v))
+                    pieces = _bond_entries(basis, q, jE, _IDENTITY, eps,
+                                           condition={gL.target: at_or_above})
+                    yield (f"sync[q{q},j{jL}<-j{jE}]", _term(basis, pieces))
         # widened control-bond: a retargeted qubit can wait strictly below
         # row j-1, leaving the local conditioning without support
         for g in two_body:
@@ -182,9 +171,9 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
             if not earlier:
                 continue
             strict_below = _region_sites(basis, 0, g.row - 1)
-            r, c, v = _bond_entries(basis, g.control, g.row, _IDENTITY, eps,
-                                    condition={q: strict_below})
-            yield (f"sync[wide,q{g.control},j{g.row}]", SparseHermitian(basis.dim, r, c, v))
+            pieces = _bond_entries(basis, g.control, g.row, _IDENTITY, eps,
+                                   condition={q: strict_below})
+            yield (f"sync[wide,q{g.control},j{g.row}]", _term(basis, pieces))
 
 
 def pin_term(basis: ConfigurationBasis, qubit: int, bit: int, strength: float) -> SparseHermitian:
@@ -194,7 +183,7 @@ def pin_term(basis: ConfigurationBasis, qubit: int, bit: int, strength: float) -
     if bit not in (0, 1):
         raise ValueError(f"pin bit must be 0 or 1, got {bit!r}")
     idx = basis.indices_where({qubit: 1 - bit})  # site 2*0 + (1-bit)
-    return SparseHermitian(basis.dim, idx, idx, np.full(idx.size, strength, dtype=np.float64))
+    return _term(basis, [_diagonal(idx, strength)])
 
 
 def readout_term(basis: ConfigurationBasis, qubit: int, strength: float) -> SparseHermitian:
@@ -208,13 +197,9 @@ def readout_term(basis: ConfigurationBasis, qubit: int, strength: float) -> Spar
     if qubit not in basis.readout:
         raise ValueError(f"qubit {qubit} has no readout particle in this basis")
     slot = basis.readout.index(qubit)
-    rows_out, vals_out = [], []
-    for sigma in range(2):
-        idx = basis.indices_where({qubit: 2 * basis.num_steps + sigma}, {slot: sigma})
-        rows_out.append(idx)
-        vals_out.append(np.full(idx.size, strength, dtype=np.float64))
-    idx = np.concatenate(rows_out)
-    return SparseHermitian(basis.dim, idx, idx, np.concatenate(vals_out))
+    return _term(basis, [_diagonal(basis.indices_where({qubit: 2 * basis.num_steps + sigma},
+                                                        {slot: sigma}), strength)
+                         for sigma in range(2)])
 
 
 def apply_tipping(terms: TermSet, beta: float) -> TermSet:

@@ -11,74 +11,46 @@ class SparseHermitian:
     """Hermitian operator; only the upper triangle (row <= col) is stored.
 
     Entries handed to the constructor may lie in either triangle: lower
-    entries are conjugate-mirrored before canonicalization, duplicates are
-    summed, and coordinates end up sorted by (row, col).  The full matrix is
-    materialized lazily for products.
+    entries are conjugate-mirrored, duplicates are summed in input order, and
+    coordinates end up strictly increasing in (row, col), the canonical form
+    that ``dump`` and the block split read.  The full matrix is materialized
+    lazily for products.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals", "_csr")
 
-    def __init__(self, dim: int, rows=None, cols=None, vals=None):
+    def __init__(self, dim: int, rows=(), cols=(), vals=()):
         self.dim = int(dim)
-        if rows is None:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0, dtype=np.float64)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("rows, cols, vals must have matching shapes")
+        if not (rows.ndim == 1 and rows.shape == cols.shape == vals.shape):
+            raise ValueError("rows, cols, vals must be 1-d with matching shapes")
         swap = rows > cols
         if np.any(swap):
             rows, cols = np.where(swap, cols, rows), np.where(swap, rows, cols)
             vals = np.where(swap, np.conj(vals), vals)
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
-        coo.sum_duplicates()
-        vals = coo.data
+        if vals.size:
+            if rows.min() < 0 or cols.max() >= self.dim:
+                raise ValueError(f"coordinates must lie in 0..{self.dim - 1}")
+            # row-major order; the sort is stable, so each run of equal
+            # coordinates is summed in input order
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            del order  # caps the peak at three full-size copies
+            first = np.ones(vals.size, dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            starts = np.flatnonzero(first)
+            vals = np.add.reduceat(vals, starts, dtype=vals.dtype)
+            rows = rows[starts]
+            cols = cols[starts]
         if np.iscomplexobj(vals):
-            diag = coo.row == coo.col
-            if vals.size and np.max(np.abs(vals[diag].imag), initial=0.0) > 1e-12:
+            if np.max(np.abs(vals[rows == cols].imag), initial=0.0) > 1e-12:
                 raise ValueError("diagonal entries must be real")
-            if vals.size == 0 or np.max(np.abs(vals.imag), initial=0.0) == 0.0:
+            if np.max(np.abs(vals.imag), initial=0.0) == 0.0:
                 vals = vals.real.copy()
-        self.rows = coo.row.astype(np.int64)
-        self.cols = coo.col.astype(np.int64)
-        self.vals = np.ascontiguousarray(vals)
+        self.rows, self.cols, self.vals = rows, cols, vals
         self._csr = None
-
-    # -- algebra -------------------------------------------------------------
-
-    def __add__(self, other: "SparseHermitian") -> "SparseHermitian":
-        if not isinstance(other, SparseHermitian):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return SparseHermitian(
-            self.dim,
-            np.concatenate([self.rows, other.rows]),
-            np.concatenate([self.cols, other.cols]),
-            np.concatenate([self.vals.astype(np.result_type(self.vals, other.vals)),
-                            other.vals.astype(np.result_type(self.vals, other.vals))]),
-        )
-
-    def __mul__(self, scalar) -> "SparseHermitian":
-        return SparseHermitian(self.dim, self.rows, self.cols, self.vals * scalar)
-
-    __rmul__ = __mul__
-
-    def compressed(self, drop_tol: float) -> "SparseHermitian":
-        """Drop entries with magnitude <= drop_tol (keeps sparsity canonical)."""
-        keep = np.abs(self.vals) > drop_tol
-        return SparseHermitian(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
-
-    def scaled_congruence(self, scale: np.ndarray) -> "SparseHermitian":
-        """diag(scale) @ H @ diag(scale) for a real positive vector scale."""
-        scale = np.asarray(scale, dtype=float)
-        if scale.shape != (self.dim,):
-            raise ValueError(f"scale must have shape ({self.dim},)")
-        return SparseHermitian(self.dim, self.rows, self.cols,
-                               self.vals * scale[self.rows] * scale[self.cols])
 
     # -- materialization -----------------------------------------------------
 
@@ -105,26 +77,17 @@ class SparseHermitian:
     def toarray(self) -> np.ndarray:
         return self.to_csr().toarray()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ x
-
-    def diagonal(self) -> np.ndarray:
-        diag = np.zeros(self.dim, dtype=self.vals.dtype)
-        on = self.rows == self.cols
-        diag[self.rows[on]] = self.vals[on]
-        return np.real(diag) if self.is_complex else diag
-
     # -- text dump (golden files) ---------------------------------------------
 
     def dump(self) -> str:
         """Coordinate text: dimension line then 'row col value' per upper entry.
 
-        Complex operators emit 'row col re im'.  Rows are already sorted.
+        Complex operators emit 'row col re im'.  Entries are in canonical order.
         """
         lines = [str(self.dim)]
         if self.is_complex:
             for r, c, v in zip(self.rows, self.cols, self.vals):
-                lines.append(f"{r} {c} {v.real!r} {v.imag!r}")
+                lines.append(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}")
         else:
             for r, c, v in zip(self.rows, self.cols, self.vals):
                 lines.append(f"{r} {c} {float(v)!r}")
@@ -153,15 +116,22 @@ class TermSet:
         self.terms.append((label, op))
 
     def total(self, drop_tol: float = 0.0) -> SparseHermitian:
-        """Sum every term in one canonicalization, tip the sum, drop tiny entries."""
-        # the leading empty operator keeps a set without terms valid
-        ops = [SparseHermitian(self.basis.dim)] + [op for _, op in self.terms]
-        out = SparseHermitian(self.basis.dim,
-                              np.concatenate([op.rows for op in ops]),
-                              np.concatenate([op.cols for op in ops]),
-                              np.concatenate([op.vals for op in ops]))
+        """Sum every term in one canonicalization, tip the sum, drop tiny entries.
+
+        Tipping and the drop act on the canonical sum's arrays; one more build
+        demotes the result to real when only real entries survive.
+        """
+        # the leading empty piece keeps a set without terms valid
+        pieces = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
+        pieces += [(op.rows, op.cols, op.vals) for _, op in self.terms]
+        out = SparseHermitian(self.basis.dim, *map(np.concatenate, zip(*pieces)))
+        if self.beta == 1.0 and drop_tol <= 0.0:
+            return out
+        rows, cols, vals = out.rows, out.cols, out.vals
         if self.beta != 1.0:
-            out = out.scaled_congruence(self.beta ** self.basis.final_row_weight().astype(float))
+            scale = self.beta ** self.basis.final_row_weight().astype(float)
+            vals = vals * scale[rows] * scale[cols]
         if drop_tol > 0.0:
-            out = out.compressed(drop_tol)
-        return out
+            keep = np.abs(vals) > drop_tol
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        return SparseHermitian(self.basis.dim, rows, cols, vals)

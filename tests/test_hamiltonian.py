@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gsqc.basis import ConfigurationBasis, enumerate_basis
 from gsqc.eigensolve import dense_spectrum
-from gsqc.hamiltonian import (apply_tipping, assemble, cid_term, cnot_term, pin_term,
-                              readout_term, single_step_term)
+from gsqc.hamiltonian import (ENTRY_DROP_REL, apply_tipping, assemble, cid_term, cnot_term,
+                              pin_term, readout_term, single_step_term)
 from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single
 from gsqc.semantics import random_program
 from gsqc.verify import gate_oracle_levels, restricted_gate_spectrum
@@ -37,7 +37,7 @@ def test_uniform_state_is_zero_mode():
     basis = enumerate_basis(prog)
     psi = np.zeros(basis.dim)
     psi[basis.indices_where({0: [2 * r for r in range(5)]})] = 1.0  # column 0, all rows
-    assert np.linalg.norm(H.matvec(psi)) < 1e-12
+    assert np.linalg.norm(H.to_csr() @ psi) < 1e-12
 
 
 def test_not_gate_spectrum_equals_identity():
@@ -186,9 +186,9 @@ def test_pin_term_validation():
 
 def test_tipping_beta_one_is_entrywise_identity():
     terms, H = assemble(Program(num_qubits=2, num_steps=2, gates=[gate_cnot(1, 0, 1)]))
-    tipped = apply_tipping(terms, 1.0)
-    diff = (tipped.total() + (-1.0) * H).compressed(0.0)
-    assert diff.nnz == 0
+    tipped = apply_tipping(terms, 1.0).total(drop_tol=ENTRY_DROP_REL)
+    for name in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(tipped, name), getattr(H, name))
 
 
 @settings(max_examples=20, deadline=None)
@@ -291,9 +291,12 @@ def test_assemble_sum_of_terms_equals_total():
     prog = Program(num_qubits=2, num_steps=3, gates=[gate_cnot(2, 0, 1)],
                    input_pins=[Pin(0, 0)], readout=[1], tip_beta=0.5)
     terms, H = assemble(prog)
-    resum = terms.total()
-    diff = (resum + (-1.0) * H).compressed(1e-15)
-    assert diff.nnz == 0
+    tip = np.diag(0.5 ** terms.basis.final_row_weight())
+    dense = tip @ sum(op.toarray() for _, op in terms.terms) @ tip
+    assert np.max(np.abs(dense - H.toarray())) < 1e-15
+    resum = terms.total(drop_tol=ENTRY_DROP_REL)
+    for name in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(resum, name), getattr(H, name))
 
 
 def test_assemble_cnot_hermitian_psd_zero_ground():
@@ -330,4 +333,21 @@ def test_zero_manifold_dimensions():
 def test_golden_matrix_dump():
     _, H = assemble(Program(num_qubits=2, num_steps=2, gates=[gate_cnot(1, 0, 1)]))
     expected = (GOLDEN / "h_m2_n2_cnot_j1.txt").read_text()
+    assert H.dump() == expected
+
+
+def test_golden_tipped_complex_readout_dump():
+    # pins conjugate mirroring, duplicate summation, tipping and the drop:
+    # rx_pi's numerically zero diagonal (6e-17) builds hopping entries that
+    # the drop removes
+    ht = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2) @ np.diag([1.0, np.exp(1j * np.pi / 4)])
+    rx_pi = np.array([[np.cos(np.pi / 2), -1j * np.sin(np.pi / 2)],
+                      [-1j * np.sin(np.pi / 2), np.cos(np.pi / 2)]])
+    prog = Program(num_qubits=2, num_steps=3,
+                   gates=[gate_single(1, 0, ht), gate_single(1, 1, rx_pi),
+                          gate_cnot(2, 0, 1), gate_cid(3, 1, 0)],
+                   input_pins=[Pin(0, 0), Pin(1, 1)], readout=[1], tip_beta=0.5)
+    terms, H = assemble(prog)
+    assert H.is_complex and H.nnz < terms.total().nnz
+    expected = (GOLDEN / "h_m2_n3_tipped_complex_readout.txt").read_text()
     assert H.dump() == expected

@@ -33,20 +33,34 @@ def test_real_demotion_when_imag_vanishes():
 
 
 def test_addition_and_drop():
-    a = SparseHermitian(2, rows=[0], cols=[1], vals=[1.0])
-    b = SparseHermitian(2, rows=[0], cols=[1], vals=[-1.0 + 1e-16])
-    c = (a + b).compressed(1e-14)
-    assert c.nnz == 0
+    ts = TermSet(ConfigurationBasis(1, 1))
+    ts.add("a", SparseHermitian(4, rows=[0], cols=[1], vals=[1.0]))
+    ts.add("b", SparseHermitian(4, rows=[1], cols=[0], vals=[-1.0 + 1e-16]))
+    assert ts.total().nnz == 1
+    assert ts.total(drop_tol=1e-14).nnz == 0
+
+
+def test_total_is_real_when_only_real_entries_survive_the_drop():
+    ts = TermSet(ConfigurationBasis(1, 1), beta=0.5)
+    ts.add("a", SparseHermitian(4, rows=[0], cols=[1], vals=[1.0]))
+    ts.add("b", SparseHermitian(4, rows=[0], cols=[2], vals=[1e-16j]))
+    assert ts.total().is_complex
+    total = ts.total(drop_tol=1e-14)
+    assert not total.is_complex and total.vals.tolist() == [1.0]
 
 
 def test_scaled_congruence_matches_dense():
     rng = np.random.default_rng(3)
-    dense = rng.standard_normal((5, 5))
-    dense = dense + dense.T
-    iu = np.triu_indices(5)
-    op = SparseHermitian(5, rows=iu[0], cols=iu[1], vals=dense[iu])
-    s = rng.uniform(0.5, 2.0, size=5)
-    got = op.scaled_congruence(s).toarray()
+    basis = ConfigurationBasis(2, 1)
+    n = basis.dim
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dense = dense + dense.conj().T
+    iu = np.triu_indices(n)
+    ts = TermSet(basis, beta=0.6)
+    ts.add("h", SparseHermitian(n, rows=iu[0], cols=iu[1], vals=dense[iu]))
+    s = 0.6 ** basis.final_row_weight()
+    assert np.unique(s).size == 3
+    got = ts.total().toarray()
     want = np.diag(s) @ dense @ np.diag(s)
     assert np.allclose(got, want, atol=1e-14)
 
@@ -59,8 +73,57 @@ def test_dump_format():
 def test_matvec_and_diagonal():
     op = SparseHermitian(3, rows=[0, 0, 1], cols=[0, 2, 1], vals=[2.0, -1.0, 3.0])
     x = np.array([1.0, 1.0, 1.0])
-    assert np.allclose(op.matvec(x), [1.0, 3.0, -1.0])
-    assert np.allclose(op.diagonal(), [2.0, 3.0, 0.0])
+    assert np.allclose(op.to_csr() @ x, [1.0, 3.0, -1.0])
+    assert np.array_equal(np.diagonal(op.toarray()), [2.0, 3.0, 0.0])
+
+
+def test_shuffled_input_is_canonical_and_matches_dense():
+    # dyadic values sum exactly in any order, so the oracle comparison is exact
+    rng = np.random.default_rng(5)
+    n, count = 7, 80
+    rows = rng.integers(0, n, count)
+    cols = rng.integers(0, n, count)
+    vals = rng.integers(-8, 9, count) / 4 + 1j * rng.integers(-8, 9, count) / 8
+    vals[rows == cols] = vals[rows == cols].real
+    dense = np.zeros((n, n), dtype=complex)
+    np.add.at(dense, (rows, cols), vals)
+    off = rows != cols
+    np.add.at(dense, (cols[off], rows[off]), vals[off].conj())
+    assert np.any(rows > cols) and np.unique(np.minimum(rows, cols) * n
+                                              + np.maximum(rows, cols)).size < count
+    ops = []
+    for _ in range(3):
+        order = rng.permutation(count)
+        op = SparseHermitian(n, rows[order], cols[order], vals[order])
+        key = op.rows * n + op.cols
+        assert np.all(op.rows <= op.cols) and np.all(np.diff(key) > 0)
+        assert op.is_complex and np.array_equal(op.toarray(), dense)
+        ops.append(op)
+    for op in ops[1:]:
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(op, name), getattr(ops[0], name))
+
+
+def test_duplicates_are_summed_in_input_order():
+    # two interleaved runs of duplicates whose float sums depend on their
+    # order: (0, 1) given in both triangles, and the diagonal entry (1, 1)
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40)
+    rows = np.tile([0, 1, 1, 1], 10)
+    cols = np.tile([1, 1, 0, 1], 10)
+    op = SparseHermitian(2, rows, cols, vals)
+    assert op.rows.tolist() == [0, 1] and op.cols.tolist() == [1, 1]
+    for i, run in enumerate((vals[0::2], vals[1::2])):
+        assert op.vals[i] == np.add.reduceat(run, [0])[0]
+        assert any(op.vals[i] != np.add.reduceat(rng.permutation(run), [0])[0]
+                   for _ in range(10))
+
+
+@pytest.mark.parametrize("rows, cols", [([-1], [0]), ([0], [-2]), ([0], [3]), ([3], [1]),
+                                        ([0, 1], [1, 5])])
+def test_coordinates_outside_dimension_rejected(rows, cols):
+    with pytest.raises(ValueError, match="coordinates"):
+        SparseHermitian(3, rows=rows, cols=cols, vals=np.ones(len(rows)))
 
 
 def test_termset_sum_and_label_guard():
