@@ -178,7 +178,7 @@ def cmd_run(args) -> int:
     if program.readout:
         try:
             doc["readout_bits"] = infer_output_from_readout(
-                result.ground_state, result.basis, result.ground_energy)
+                result.ground_state, result.basis, result.ground_energy, result.energy_scale)
         except NonFactoringOutputError as exc:
             doc["readout_bits"] = None
             doc["readout_error"] = str(exc)

@@ -11,7 +11,7 @@ from .program import Program, validate_program
 
 READOUT_OCC_LO = 0.1
 READOUT_OCC_HI = 0.9
-FACTOR_ENERGY_TOL = 1e-8
+FACTOR_ENERGY_TOL = 1e-8  # times H's energy scale (eigensolve._scale)
 
 
 def choose_beta(M: int, N: int) -> float:
@@ -78,7 +78,8 @@ def attach_readout(program: Program, qubits=None, strength: float | None = None)
     return new
 
 
-def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: float) -> str:
+def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: float,
+                              scale: float = 1.0) -> str:
     """Output bitstring from readout positions: bit = column opposite the particle.
 
     Valid only when the program's final state factors, which is equivalent to
@@ -86,14 +87,17 @@ def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: flo
     hopping, so the Hamiltonian is block diagonal over their positions and a
     frustrated (non-factoring) output shows up as strictly positive ground
     energy, possibly with collapsed per-branch occupations.  Both signatures
-    raise NonFactoringOutputError.
+    raise NonFactoringOutputError.  ``scale`` is H's energy scale, its largest
+    |diagonal entry| (``RunResult.energy_scale``): a ground energy up to
+    FACTOR_ENERGY_TOL * scale is zero up to rounding.
     """
     psi = _check_state(psi, basis)
     if sorted(basis.readout) != list(range(basis.num_qubits)):
         raise ValueError("readout inference needs a readout particle on every qubit")
-    if ground_energy > FACTOR_ENERGY_TOL:
+    tol = FACTOR_ENERGY_TOL * scale
+    if ground_energy > tol:
         raise NonFactoringOutputError(
-            f"combined ground energy {ground_energy:.3e} above {FACTOR_ENERGY_TOL:g}: "
+            f"combined ground energy {ground_energy:.3e} above {tol:g}: "
             "final state does not factor")
     bits = {}
     for k, (p0, _p1) in enumerate(readout_occupations(psi, basis)):

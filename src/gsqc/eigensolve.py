@@ -4,7 +4,8 @@ The history Hamiltonian is block-diagonal: hopping and gate terms connect
 only some configurations.  ``solve_spectrum`` finds the connected blocks on
 the sparsity pattern and solves each on its own, by size: LAPACK on the
 whole of a tiny block, LAPACK on only the lowest values of a small one, and
-shift-invert Lanczos on a large one.
+shift-invert Lanczos on a large one.  A large block that Sylvester's law of
+inertia shows to hold no level below the k lowest found so far is skipped.
 
 The single-qubit chain with identity development is two decoupled
 (N+1)-site hopping chains (one per column), so its exact spectrum is the
@@ -32,7 +33,12 @@ DENSE_BLOCK_MAX = 512  # lowest-values LAPACK at or below, shift-invert above
 ARPACK_NEV_FRACTION = 0.15  # low_lying goes dense above this many Ritz values per dimension
 CLUSTER_TOL = 1e-8  # times the energy scale (_scale)
 RESIDUAL_TOL = 1e-9
+PIVOT_TOL = 1e-10  # an inertia count with a pivot this small, times the scale, is not trusted
+INERTIA_RESIDUAL_TOL = 1e-6  # nor one whose test solve leaves a larger relative residual
 DEFAULT_SEED = 7
+# diagonal pivots in a symmetric order, so U's diagonal is the D of an LDL^H
+SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
 
 
 @dataclass
@@ -41,7 +47,8 @@ class SpectralResult:
 
     ``solve_spectrum`` keeps the eigenvectors of the ground cluster only, one
     column per member.  ``lu_solves`` counts the shift-invert LU solves
-    actually run: an identical copy of a solved block adds none.
+    actually run: an identical copy of a solved block adds none, and neither
+    does a skipped block; ``blocks_skipped`` counts those, copies included.
     """
 
     eigenvalues: np.ndarray
@@ -50,6 +57,7 @@ class SpectralResult:
     gap: float | None
     method: str
     lu_solves: int = 0
+    blocks_skipped: int = 0
 
     @property
     def ground_energy(self) -> float:
@@ -100,18 +108,19 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``).
 
     The assembled operators are positive semi-definite, so a small negative
-    shift makes the factorized operator strictly definite; its sparse LU is
-    ARPACK's inverse operator, and the k eigenvalues nearest the shift are
-    the k smallest.  Every returned pair must meet the residual bar
+    shift makes the factorized operator strictly definite; its sparse LU,
+    pivoted on the diagonal in a symmetric order (SYMMETRIC_LU), is ARPACK's
+    inverse operator, and the k eigenvalues nearest the shift are the k
+    smallest.  Every returned pair must meet the residual bar
     RESIDUAL_TOL * scale, where scale is the largest |diagonal entry|;
     otherwise, or when ARPACK does not converge, ConvergenceError is raised.
     A lowest cluster that fills all k values raises TruncatedClusterError.
-    The start vector is seeded, but ARPACK keeps state between calls: two
-    calls on the same H can differ in the LU solve count and in the last
-    bits of the pairs, each meeting the residual bar.  Falls back to the
-    dense oracle when ARPACK would need more than ARPACK_NEV_FRACTION of the
-    dimension in Ritz values (beyond that it is slower than the dense
-    solve); that fallback raises SolverError above DENSE_DIM_CAP.
+    The start vector and every restart vector ARPACK asks for are drawn from
+    ``seed``, so two calls on the same H give the same pairs, bit for bit,
+    and the same LU solve count.  Falls back to the dense oracle when ARPACK
+    would need more than ARPACK_NEV_FRACTION of the dimension in Ritz values
+    (beyond that it is slower than the dense solve); that fallback raises
+    SolverError above DENSE_DIM_CAP.
     """
     dim = H.dim
     if k < 1:
@@ -134,7 +143,7 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     sigma = -1e-3 * scale
     try:
         shifted = sp.csc_matrix(csr - sigma * sp.identity(dim, dtype=csr.dtype, format="csc"))
-        lu = spla.splu(shifted)
+        lu = spla.splu(shifted, **SYMMETRIC_LU)
     except RuntimeError as exc:
         raise ConvergenceError(f"shift-invert factorization failed: {exc}") from exc
 
@@ -149,7 +158,7 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     v0 = np.random.default_rng(seed).standard_normal(dim).astype(csr.dtype)
     try:
         vals, vecs = spla.eigsh(csr, nev, sigma=sigma, which="LM", OPinv=inverse,
-                                v0=v0)
+                                v0=v0, rng=seed)
     except spla.ArpackError as exc:  # includes ArpackNoConvergence
         raise ConvergenceError(f"ARPACK shift-invert failed: {exc}") from exc
     order = np.argsort(vals)[:k]
@@ -190,15 +199,48 @@ def _blocks(H: SparseHermitian):
                     np.split(H.vals[entries], cuts)))
 
 
-def _solve_block(n: int, rows, cols, vals, m: int, seed: int):
+def _levels_below(csr, tau: float, scale: float) -> int | None:
+    """How many eigenvalues of a block lie below tau, or None when the count
+    cannot be trusted.
+
+    Factored as SYMMETRIC_LU, B - tau = L D L^H, and by Sylvester's law of
+    inertia D has as many negative pivots as B has eigenvalues below tau.
+    Pivoting on the diagonal is not always stable for an indefinite matrix,
+    and a shift within rounding of an eigenvalue leaves that one's sign to
+    chance, so the count is trusted only when SuperLU kept the symmetric
+    order, no pivot is within PIVOT_TOL * scale of zero, and a solve with
+    the factors has a relative residual below INERTIA_RESIDUAL_TOL.  That
+    residual is about the factors' backward error over the distance from
+    tau to the nearest eigenvalue, the ratio that must be small.
+    """
+    n = csr.shape[0]
+    shifted = sp.csc_matrix(csr - tau * sp.identity(n, dtype=csr.dtype, format="csc"))
+    try:
+        lu = spla.splu(shifted, **SYMMETRIC_LU)
+    except RuntimeError:  # an exactly zero pivot
+        return None
+    pivots = lu.U.diagonal().real
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.min(np.abs(pivots)) <= PIVOT_TOL * scale:
+        return None
+    rhs = np.random.default_rng(n).standard_normal(n).astype(csr.dtype)
+    x = lu.solve(rhs)
+    if not np.linalg.norm(shifted @ x - rhs) <= INERTIA_RESIDUAL_TOL * np.linalg.norm(rhs):
+        return None
+    return int(np.count_nonzero(pivots < 0))
+
+
+def _solve_block(n: int, rows, cols, vals, m: int, seed: int,
+                 operator: SparseHermitian | None = None):
     """The m lowest eigenpairs of one block: (values, vectors, iterative, LU solves).
 
     A lowest cluster that fills a block's m values leaves the union's k
     lowest exact (the union's own check catches a cut ground cluster), so a
     large block whose low_lying reports one is asked again for twice as many.
+    A large block's ``operator``, when the caller has built it, is used as
+    it stands, with its CSR.
     """
     if n > DENSE_BLOCK_MAX:
-        block = SparseHermitian(n, rows, cols, vals)
+        block = SparseHermitian(n, rows, cols, vals) if operator is None else operator
         while True:
             try:
                 res = low_lying(block, m, seed=seed)
@@ -221,36 +263,68 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
     Each connected block is asked for its min(k, size) lowest pairs, so the
     k lowest of their union are exact.  Blocks with bit-identical local data
     are solved once: every copy takes the same values and local vectors, as
-    a solve of its own would give, placed at the copy's own indices.  The
-    eigenvectors are one column per ground-cluster member, zero outside the
-    block that holds it.  A lowest cluster that fills all k values of the
-    union raises SolverError.  ``method`` is "shift-invert" when any block
-    took it.
+    a solve of its own would give, placed at the copy's own indices.
+
+    Distinct blocks are solved in a cheap order: the dense ones first, then
+    the large ones by ascending mean diagonal.  Once the solved blocks,
+    copies counted, hold k values, a large block is first factored at tau,
+    their k-th lowest plus CLUSTER_TOL * scale.  A trusted count of no level
+    below tau (_levels_below) means it cannot change the k lowest, so it is
+    skipped with its copies.  The union is taken in block order, so the
+    solve order changes only the cost.
+
+    The eigenvectors are one column per ground-cluster member, zero outside
+    the block that holds it.  A lowest cluster that fills all k values of
+    the union raises SolverError.  ``method`` is "shift-invert" when any
+    large block took it or was skipped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    solved = {}  # a block's exact local data -> its _solve_block result
-    index, copies = [], []
-    for members, rows, cols, vals in _blocks(H):
-        key = (members.size, vals.dtype, rows.tobytes(), cols.tobytes(), vals.tobytes())
-        if key not in solved:
-            solved[key] = _solve_block(members.size, rows, cols, vals,
-                                       min(k, members.size), seed)
-        index.append(members)
-        copies.append(solved[key])
-    values, vectors, _, _ = zip(*copies)
+    scale = _scale(H)
+    blocks = _blocks(H)
+    keys = [(members.size, vals.dtype, rows.tobytes(), cols.tobytes(), vals.tobytes())
+            for members, rows, cols, vals in blocks]  # a block's exact local data
+    copies = {}  # key -> the positions of its copies
+    for b, key in enumerate(keys):
+        copies.setdefault(key, []).append(b)
+
+    def cost(key):
+        members, rows, cols, vals = blocks[copies[key][0]]
+        if members.size <= DENSE_BLOCK_MAX:
+            return 0, 0.0
+        return 1, float(np.sum(vals[rows == cols].real)) / members.size
+
+    solved = {}  # key -> its _solve_block result
+    found = []  # the values solved so far, one array per copy
+    skipped = 0
+    for key in sorted(copies, key=cost):
+        members, rows, cols, vals = blocks[copies[key][0]]
+        n, block = members.size, None
+        if n > DENSE_BLOCK_MAX and sum(v.size for v in found) >= k:
+            block = SparseHermitian(n, rows, cols, vals)
+            tau = np.partition(np.concatenate(found), k - 1)[k - 1] + CLUSTER_TOL * scale
+            if _levels_below(block.to_csr(), tau, scale) == 0:
+                skipped += len(copies[key])
+                continue
+        solved[key] = _solve_block(n, rows, cols, vals, min(k, n), seed, block)
+        found += [solved[key][0]] * len(copies[key])
+
+    kept = [b for b, key in enumerate(keys) if key in solved]
+    index = [blocks[b][0] for b in kept]
+    values, vectors, _, _ = zip(*(solved[keys[b]] for b in kept))
     owner = np.repeat(np.arange(len(values)), [v.size for v in values])
     column = np.concatenate([np.arange(v.size) for v in values])
     union = np.concatenate(values)
     lowest = np.argsort(union, kind="stable")[:k]
-    manifold, gap = _complete_cluster(union[lowest], k, H.dim, _scale(H))
+    manifold, gap = _complete_cluster(union[lowest], k, H.dim, scale)
     ground = np.zeros((H.dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))
     for j, i in enumerate(lowest[:manifold]):
         ground[index[owner[i]], j] = vectors[owner[i]][:, column[i]]
     runs = solved.values()
     return SpectralResult(union[lowest], ground, manifold, gap,
-                          method="shift-invert" if any(r[2] for r in runs) else "dense",
-                          lu_solves=sum(r[3] for r in runs))
+                          method="shift-invert" if skipped or any(r[2] for r in runs)
+                          else "dense",
+                          lu_solves=sum(r[3] for r in runs), blocks_skipped=skipped)
 
 
 # -- closed forms for the single-qubit chain ---------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from .basis import ConfigurationBasis, enumerate_basis
 from .detection import build_report, DetectionReport
 from .errors import ConsistencyError, IndeterminateInputError, ProgramError
-from .eigensolve import solve_spectrum, DEFAULT_SEED
+from .eigensolve import DEFAULT_SEED, _scale, solve_spectrum
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
                       validate_program)
@@ -119,6 +119,7 @@ class RunResult:
     logical_state: np.ndarray  # 2^M amplitudes at row N, normalized
     residual: float
     ground_energy: float
+    energy_scale: float  # H's largest |diagonal entry|, the unit of its tolerances
     gap: float | None
     detection: DetectionReport
     method: str
@@ -164,9 +165,9 @@ def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     logical = logical / np.linalg.norm(logical)
     report = build_report(psi, basis, program)
     return RunResult(logical_state=logical, residual=residual,
-                     ground_energy=result.ground_energy, gap=result.gap,
-                     detection=report, method=result.method, ground_state=psi,
-                     basis=basis)
+                     ground_energy=result.ground_energy, energy_scale=_scale(H),
+                     gap=result.gap, detection=report, method=result.method,
+                     ground_state=psi, basis=basis)
 
 
 # -- randomized program generator (test suites) -------------------------------

@@ -16,8 +16,8 @@ from .basis import ConfigurationBasis, enumerate_basis
 from .bounds import upper_bound
 from .detection import (attach_readout, choose_beta, cid_sync_check,
                         infer_output_from_readout, predicted_gate_free)
-from .eigensolve import (_blocks, _solve_block, analytic_levels, char_det, dense_spectrum,
-                         solve_spectrum, solve_tipped_levels)
+from .eigensolve import (_blocks, _scale, _solve_block, analytic_levels, char_det,
+                         dense_spectrum, solve_spectrum, solve_tipped_levels)
 from .program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from .semantics import (_random_unitary, random_program, reference_circuit,
                         run_program)
@@ -201,7 +201,7 @@ def check_readout_exactness(seed=7):
         psi = result.ground_vector()
         basis = enumerate_basis(prog)
         worst_energy = max(worst_energy, abs(result.ground_energy))
-        bits = infer_output_from_readout(psi, basis, result.ground_energy)
+        bits = infer_output_from_readout(psi, basis, result.ground_energy, _scale(H))
         ref = reference_circuit(replace(prog, readout=[], readout_strength=None), "00")
         want = format(int(np.argmax(np.abs(ref))), "02b")
         ok &= bits == want
@@ -254,9 +254,10 @@ def _solve_every_copy(H, k, manifold, seed):
 
 def check_block_spectrum_oracle(seed=7):
     """The block-wise solve against the whole-matrix dense oracle: levels,
-    ground manifold and ground-cluster projector.  Above the dense cap, a
-    program whose blocks come in identical copies, which are solved once,
-    against solving every copy on its own."""
+    ground manifold and ground-cluster projector.  Above the dense cap,
+    against solving every copy on its own: a program whose blocks come in
+    identical copies, which are solved once, and a pinned one whose blocks
+    are skipped when the inertia test shows them above the k lowest."""
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases = [  # (program, k); dimensions 1000, 1024 and 400, each with several blocks
@@ -283,20 +284,30 @@ def check_block_spectrum_oracle(seed=7):
         v, w = got.eigenvectors, want.eigenvectors[:, :want.ground_manifold_dim]
         worst_projector = max(worst_projector,
                               float(np.max(np.abs(v @ v.conj().T - w @ w.conj().T))))
-    # the M=3, N=8 gap-scan row, dimension 5832: 16 blocks, 8 copies each of
-    # a 549- and a 180-dimensional one
-    _, H = ham.assemble(Program(num_qubits=3, num_steps=8, gates=[gate_cnot(4, 0, 1)]))
-    got = solve_spectrum(H, k=9, seed=seed)
-    v = got.eigenvectors
-    levels, w, solves = _solve_every_copy(H, 9, v.shape[1], seed)
-    worst_level = max(worst_level, float(np.max(np.abs(got.eigenvalues - levels))))
-    # the part of each column solved per copy that lies outside the memoized span
-    worst_projector = max(worst_projector,
-                          float(np.max(np.linalg.norm(w - v @ (v.conj().T @ w), axis=0))))
+    # dimension 5832, 16 blocks each: the M=3, N=8 gap-scan row, 8 copies each
+    # of a 549- and a 180-dimensional block; and the tipped, pinned M=3, N=8
+    # CID chain, whose eight 538-dimensional blocks all differ, so the
+    # inertia test skips some
+    chain = pin_all(Program(num_qubits=3, num_steps=8, gates=[gate_cid(7, 0, 1),
+                                                               gate_cid(8, 1, 2)],
+                            tip_beta=choose_beta(3, 8)), "000")
+    solves = []
+    for prog, k in ((Program(num_qubits=3, num_steps=8, gates=[gate_cnot(4, 0, 1)]), 9),
+                    (chain, 2)):
+        _, H = ham.assemble(prog)
+        got = solve_spectrum(H, k=k, seed=seed)
+        v = got.eigenvectors
+        levels, w, every = _solve_every_copy(H, k, v.shape[1], seed)
+        worst_level = max(worst_level, float(np.max(np.abs(got.eigenvalues - levels))))
+        # the part of each column solved per copy that lies outside the memoized span
+        worst_projector = max(worst_projector,
+                              float(np.max(np.linalg.norm(w - v @ (v.conj().T @ w), axis=0))))
+        solves.append(f"{got.lu_solves} (every copy solved: {every}, "
+                      f"blocks skipped: {got.blocks_skipped})")
     passed = not details and worst_level < 1e-10 and worst_projector < 1e-8
     return passed, "; ".join(details) or (f"max level deviation {worst_level:.2e}, "
                                           f"projector {worst_projector:.2e}, LU solves "
-                                          f"{got.lu_solves} (every copy solved: {solves})")
+                                          + ", ".join(solves))
 
 
 ALL_CHECKS = [

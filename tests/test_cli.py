@@ -118,6 +118,21 @@ def test_run_readout_program(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_readout_at_large_epsilon(tmp_path, capsys):
+    # X then CNOT on inputs 00 gives 11; at epsilon 1e9 the factoring ground
+    # energy is rounding of order 1e-8, not a frustrated output
+    doc = {"qubits": 2, "steps": 3, "epsilon": 1e9,
+           "gates": [NOT_PROGRAM["gates"][0],
+                     {"kind": "cnot", "row": 2, "control": 0, "target": 1}],
+           "pins": [{"qubit": 0, "bit": 0}, {"qubit": 1, "bit": 0}], "readout": [0, 1]}
+    path = tmp_path / "ro.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--program", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["readout_bits"] == "11"
+    assert "readout_error" not in out
+
+
 def test_gap_scan_single_qubit_with_footer(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "12",

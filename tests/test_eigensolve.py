@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,8 @@ from gsqc.bounds import upper_bound
 from gsqc.cli import main
 from gsqc.detection import attach_readout, choose_beta
 import gsqc.eigensolve
-from gsqc.eigensolve import (_blocks, _solve_block, analytic_levels, char_det, dense_spectrum,
-                             low_lying, solve_spectrum, solve_tipped_levels)
+from gsqc.eigensolve import (_blocks, _levels_below, _solve_block, analytic_levels, char_det,
+                             dense_spectrum, low_lying, solve_spectrum, solve_tipped_levels)
 from gsqc.errors import SolverError
 from gsqc.hamiltonian import assemble
 from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, pin_all,
@@ -18,6 +22,7 @@ from gsqc.semantics import random_program
 from gsqc.sparse import SparseHermitian
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def single_qubit_chain(N, beta=1.0, eps=1.0):
@@ -251,6 +256,25 @@ def test_low_lying_deterministic():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
+def test_low_lying_reproducible_across_processes():
+    # a 1728-dimensional single block whose ARPACK run asks for restart
+    # vectors; each fresh process must draw the same ones
+    src = str(Path(gsqc.eigensolve.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import hashlib, sys\n"
+            "from gsqc.hamiltonian import assemble\n"
+            "from gsqc.eigensolve import solve_spectrum\n"
+            "from gsqc.program import load_program\n"
+            "_, H = assemble(load_program(sys.argv[1]))\n"
+            "res = solve_spectrum(H, k=2)\n"
+            "assert H.dim == 1728 and res.method == 'shift-invert'\n"
+            "print(hashlib.sha1(res.eigenvalues.tobytes()).hexdigest(), res.lu_solves)\n")
+    program = str(GOLDEN / "run_batch_seed1_program83.json")
+    runs = [subprocess.run([sys.executable, "-c", code, program], check=True, env=env,
+                           capture_output=True, text=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0, 1e3, 1e9])
 def test_ground_cluster_scales_with_epsilon(eps):
     def solved(e):
@@ -342,6 +366,81 @@ def test_ground_columns_of_copies_sit_on_their_own_copy():
     assert all(np.array_equal(x, local[0]) for x in local)
     assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-12
     assert np.max(np.linalg.norm(H.to_csr() @ v, axis=0)) < 1e-9
+
+
+# -- skipping blocks by inertia -------------------------------------------------
+
+
+@pytest.mark.parametrize("prog,k", _oracle_cases())
+def test_levels_below_counts_exactly_or_declines(prog, k):
+    # at the lowest levels, just below them and between neighbours, the
+    # inertia count is the oracle's or None; a shift at a level leaves the
+    # count to rounding, so it must decline there rather than guess
+    _, H = assemble(prog)
+    scale = gsqc.eigensolve._scale(H)
+    seen = set()
+    for members, rows, cols, vals in _blocks(H):
+        if (key := (rows.tobytes(), cols.tobytes(), vals.tobytes())) in seen:
+            continue
+        seen.add(key)
+        block = SparseHermitian(members.size, rows, cols, vals)
+        levels = np.linalg.eigvalsh(block.toarray())
+        low = levels[:8]
+        shifts = np.concatenate([low - gsqc.eigensolve.CLUSTER_TOL * scale, low,
+                                 (low[:-1] + low[1:]) / 2])
+        for tau in shifts:
+            got = _levels_below(block.to_csr(), tau, scale)
+            assert got is None or got == np.count_nonzero(levels < tau), (members.size, tau)
+
+
+def test_levels_below_declines_a_zero_leading_pivot():
+    # a chain whose diagonal is 2 everywhere: at the shift 2 every diagonal
+    # pivot is exactly zero, so SuperLU must leave the symmetric order
+    n = 600
+    chain = SparseHermitian(n, np.concatenate([np.arange(n), np.arange(n - 1)]),
+                            np.concatenate([np.arange(n), np.arange(1, n)]),
+                            np.concatenate([np.full(n, 2.0), np.full(n - 1, -1.0)]))
+    assert _levels_below(chain.to_csr(), 2.0, 2.0) is None
+    assert _levels_below(chain.to_csr(), -0.5, 2.0) == 0
+    assert _levels_below(chain.to_csr(), 0.5, 2.0) == np.count_nonzero(
+        np.linalg.eigvalsh(chain.toarray()) < 0.5)
+    # an exactly singular factor is declined too
+    assert _levels_below(SparseHermitian(n, np.arange(n), np.arange(n), np.zeros(n)).to_csr(),
+                         0.0, 1.0) is None
+
+
+def pinned_large_programs():
+    """The benchmark's pinned programs above the dense cutoff, dimensions 10648 to 39304."""
+    def cid_chain(M, N, beta=None):
+        gates = [gate_cid(N - (M - 2 - k), k, k + 1) for k in range(M - 1)]
+        return pin_all(Program(num_qubits=M, num_steps=N, gates=gates, tip_beta=beta), "0" * M)
+
+    def cnot_line(N, beta=None):
+        return pin_all(Program(num_qubits=2, num_steps=N, gates=[gate_cnot(N // 2, 0, 1)],
+                               tip_beta=beta), "10")
+
+    chain = pin_all(Program(num_qubits=4, num_steps=6, gates=[
+        gate_cnot(2, 0, 1), gate_cnot(3, 1, 2), gate_cnot(4, 2, 3)]), "1000")
+    return [pytest.param(cid_chain(3, 16), id="cid-chain-m3-n16"),
+            pytest.param(chain, id="cnot-chain-m4-n6"),
+            pytest.param(cnot_line(60), id="cnot-m2-n60"),
+            pytest.param(cid_chain(3, 8, float(choose_beta(3, 8))), id="cid-chain-m3-n8-tipped"),
+            pytest.param(cnot_line(60, float(choose_beta(2, 60))), id="cnot-m2-n60-tipped")]
+
+
+@pytest.mark.parametrize("prog", pinned_large_programs())
+def test_skipping_blocks_matches_solving_every_block(prog, monkeypatch):
+    _, H = assemble(prog)
+    scale = gsqc.eigensolve._scale(H)
+    got = solve_spectrum(H, k=2)
+    monkeypatch.setattr(gsqc.eigensolve, "_levels_below", lambda *args: None)
+    want = solve_spectrum(H, k=2)
+    assert got.blocks_skipped > 0 and want.blocks_skipped == 0
+    assert got.lu_solves < want.lu_solves
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-12 * scale
+    assert got.ground_manifold_dim == want.ground_manifold_dim == 1
+    v, w = got.ground_vector(), want.ground_vector()
+    assert np.linalg.norm(w - v * np.vdot(v, w)) < 1e-10
 
 
 # -- closed forms ---------------------------------------------------------------
