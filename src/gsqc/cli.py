@@ -15,7 +15,7 @@ from .bounds import scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
 from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError,
                      ProgramError, SolverError)
-from .eigensolve import DEFAULT_SEED, DENSE_SOLVE_MAX, solve_spectrum
+from .eigensolve import DEFAULT_SEED, solve_spectrum
 from .hamiltonian import assemble
 from .program import Pin, Program, load_program
 from .semantics import run_program
@@ -26,6 +26,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CONSISTENCY = 4
+DENSE_SOLVE_MAX = 2048  # gsqc spectrum prints every level at or below this dimension
 
 
 def _fmt(x) -> str:
@@ -309,7 +310,6 @@ def cmd_spectrum(args) -> int:
     program = load_program(args.program)
     k = _eigenpairs(args, program.num_qubits)
     _, H = assemble(program)
-    # every level up to DENSE_SOLVE_MAX, the k lowest above it
     res = solve_spectrum(H, k=H.dim if H.dim <= DENSE_SOLVE_MAX else k, seed=args.seed)
     if args.fmt == "json":
         text = json.dumps({"eigenvalues": [float(v) for v in res.eigenvalues],

@@ -2,10 +2,10 @@
 
 The history Hamiltonian is block-diagonal: hopping and gate terms connect
 only some configurations.  ``solve_spectrum`` finds the connected blocks on
-the sparsity pattern and solves each on its own, by size: LAPACK on the
-whole of a tiny block, LAPACK on only the lowest values of a small one, and
-shift-invert Lanczos on a large one.  A large block that Sylvester's law of
-inertia shows to hold no level below the k lowest found so far is skipped.
+the sparsity pattern and solves each on its own, by size (``_solve_block``
+alone decides): shift-invert Lanczos on a large block, and otherwise LAPACK.
+A large block that Sylvester's law of inertia shows to hold no level below
+the k lowest found so far is skipped.
 
 The single-qubit chain with identity development is two decoupled
 (N+1)-site hopping chains (one per column), so its exact spectrum is the
@@ -26,11 +26,10 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ConvergenceError, SolverError, TruncatedClusterError
 from .sparse import SparseHermitian
 
-DENSE_SOLVE_MAX = 2048  # gsqc spectrum prints every level at or below this dimension
-DENSE_DIM_CAP = 4096  # dense_spectrum's memory cap
-TINY_BLOCK_MAX = 16  # whole-block np.linalg.eigh at or below
-DENSE_BLOCK_MAX = 512  # lowest-values LAPACK at or below, shift-invert above
-ARPACK_NEV_FRACTION = 0.15  # low_lying goes dense above this many Ritz values per dimension
+DENSE_DIM_CAP = 4096  # the memory cap of a dense solve
+TINY_BLOCK_MAX = 16  # whole-block np.linalg.eigh at or below, faster there than a subset call
+DENSE_BLOCK_MAX = 512  # lowest-values LAPACK at or below, shift-invert above while k fits
+ARPACK_NEV_FRACTION = 0.15  # most Ritz values per dimension for low_lying; dense is faster beyond
 CLUSTER_TOL = 1e-8  # times the energy scale (_scale)
 RESIDUAL_TOL = 1e-9
 PIVOT_TOL = 1e-10  # an inertia count with a pivot this small, times the scale, is not trusted
@@ -104,6 +103,18 @@ def _complete_cluster(vals: np.ndarray, k: int, dim: int,
     return manifold, gap
 
 
+def _ritz_count(k: int) -> int:
+    """Ritz values low_lying converges for k pairs: the extras give further copies
+    of a degenerate level, which Lanczos sees only through rounding, time to emerge."""
+    return k + max(4, k // 2)
+
+
+def _shift_factor(csr, shift: float):
+    """csr - shift, and its SYMMETRIC_LU factors (RuntimeError on a zero pivot)."""
+    shifted = sp.csc_matrix(csr - shift * sp.identity(csr.shape[0], dtype=csr.dtype, format="csc"))
+    return shifted, spla.splu(shifted, **SYMMETRIC_LU)
+
+
 def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
     """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``).
 
@@ -117,33 +128,20 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     A lowest cluster that fills all k values raises TruncatedClusterError.
     The start vector and every restart vector ARPACK asks for are drawn from
     ``seed``, so two calls on the same H give the same pairs, bit for bit,
-    and the same LU solve count.  Falls back to the dense oracle when ARPACK
-    would need more than ARPACK_NEV_FRACTION of the dimension in Ritz values
-    (beyond that it is slower than the dense solve); that fallback raises
-    SolverError above DENSE_DIM_CAP.
+    and the same LU solve count.  A k needing more Ritz values (_ritz_count)
+    than ARPACK_NEV_FRACTION of the dimension raises SolverError.
     """
     dim = H.dim
     if k < 1:
         raise ValueError("k must be >= 1")
-    # Lanczos from one start vector sees the further copies of a degenerate
-    # level only through rounding; converging extra Ritz values beyond k
-    # gives them the iterations to emerge.
-    nev = k + max(4, k // 2)
-    scale = _scale(H)
+    nev = _ritz_count(k)
     if nev > ARPACK_NEV_FRACTION * dim:
-        if dim > DENSE_DIM_CAP:
-            raise SolverError(f"k={k} needs a dense solve of dimension {dim}, above the "
-                              f"cap {DENSE_DIM_CAP}: pass a smaller k")
-        result = dense_spectrum(H)
-        vals, vecs = result.eigenvalues[:k], result.eigenvectors[:, :k]
-        manifold, gap = _complete_cluster(vals, k, dim, scale)
-        return SpectralResult(vals, vecs, manifold, gap, method="dense-fallback")
-
-    csr = H.to_csr()
+        raise SolverError(f"k={k} needs {nev} Ritz values, more than {ARPACK_NEV_FRACTION:.0%} "
+                          f"of the dimension {dim}: pass a smaller k")
+    csr, scale = H.to_csr(), _scale(H)
     sigma = -1e-3 * scale
     try:
-        shifted = sp.csc_matrix(csr - sigma * sp.identity(dim, dtype=csr.dtype, format="csc"))
-        lu = spla.splu(shifted, **SYMMETRIC_LU)
+        _, lu = _shift_factor(csr, sigma)
     except RuntimeError as exc:
         raise ConvergenceError(f"shift-invert factorization failed: {exc}") from exc
 
@@ -214,9 +212,8 @@ def _levels_below(csr, tau: float, scale: float) -> int | None:
     tau to the nearest eigenvalue, the ratio that must be small.
     """
     n = csr.shape[0]
-    shifted = sp.csc_matrix(csr - tau * sp.identity(n, dtype=csr.dtype, format="csc"))
     try:
-        lu = spla.splu(shifted, **SYMMETRIC_LU)
+        shifted, lu = _shift_factor(csr, tau)
     except RuntimeError:  # an exactly zero pivot
         return None
     pivots = lu.U.diagonal().real
@@ -231,30 +228,30 @@ def _levels_below(csr, tau: float, scale: float) -> int | None:
 
 def _solve_block(n: int, rows, cols, vals, m: int, seed: int,
                  operator: SparseHermitian | None = None):
-    """The m lowest eigenpairs of one block: (values, vectors, iterative, LU solves).
+    """The m lowest eigenpairs of one block: (values, vectors, LU solves).
 
-    A lowest cluster that fills a block's m values leaves the union's k
-    lowest exact (the union's own check catches a cut ground cluster), so a
-    large block whose low_lying reports one is asked again for twice as many.
-    A large block's ``operator``, when the caller has built it, is used as
-    it stands, with its CSR.
-    """
-    if n > DENSE_BLOCK_MAX:
-        block = SparseHermitian(n, rows, cols, vals) if operator is None else operator
-        while True:
-            try:
-                res = low_lying(block, m, seed=seed)
-                break
-            except TruncatedClusterError:
-                m = min(2 * m, n)
-        return res.eigenvalues, res.eigenvectors, res.method == "shift-invert", res.lu_solves
+    Above DENSE_BLOCK_MAX, low_lying on ``operator`` (built if None) while
+    m's Ritz count fits in ARPACK_NEV_FRACTION of n; m doubles when a lowest
+    cluster fills its m values (the union's k lowest stay exact).  Else
+    LAPACK: on m values if TINY_BLOCK_MAX < n <= DENSE_BLOCK_MAX, else on
+    the whole block, faster there, up to DENSE_DIM_CAP (SolverError above)."""
+    while n > DENSE_BLOCK_MAX and _ritz_count(m) <= ARPACK_NEV_FRACTION * n:
+        operator = SparseHermitian(n, rows, cols, vals) if operator is None else operator
+        try:
+            res = low_lying(operator, m, seed=seed)
+            return res.eigenvalues, res.eigenvectors, res.lu_solves
+        except TruncatedClusterError:
+            m = min(2 * m, n)
+    if n > DENSE_DIM_CAP:
+        raise SolverError(f"k={m} needs a dense solve of dimension {n}, above the "
+                          f"cap {DENSE_DIM_CAP}: pass a smaller k")
     upper = np.zeros((n, n), dtype=vals.dtype)
     upper[rows, cols] = vals
-    if n <= TINY_BLOCK_MAX:
-        values, vectors = np.linalg.eigh(upper, UPLO="U")
-        return values[:m], vectors[:, :m], False, 0
-    values, vectors = sla.eigh(upper, lower=False, subset_by_index=[0, m - 1])
-    return values, vectors, False, 0
+    if TINY_BLOCK_MAX < n <= DENSE_BLOCK_MAX:
+        values, vectors = sla.eigh(upper, lower=False, subset_by_index=[0, m - 1])
+        return values, vectors, 0
+    values, vectors = np.linalg.eigh(upper, UPLO="U")
+    return values[:m], vectors[:, :m], 0
 
 
 def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
@@ -311,7 +308,7 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
 
     kept = [b for b, key in enumerate(keys) if key in solved]
     index = [blocks[b][0] for b in kept]
-    values, vectors, _, _ = zip(*(solved[keys[b]] for b in kept))
+    values, vectors, _ = zip(*(solved[keys[b]] for b in kept))
     owner = np.repeat(np.arange(len(values)), [v.size for v in values])
     column = np.concatenate([np.arange(v.size) for v in values])
     union = np.concatenate(values)
@@ -320,11 +317,10 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
     ground = np.zeros((H.dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))
     for j, i in enumerate(lowest[:manifold]):
         ground[index[owner[i]], j] = vectors[owner[i]][:, column[i]]
-    runs = solved.values()
+    solves = sum(r[2] for r in solved.values())  # Lanczos runs at least one LU solve
     return SpectralResult(union[lowest], ground, manifold, gap,
-                          method="shift-invert" if skipped or any(r[2] for r in runs)
-                          else "dense",
-                          lu_solves=sum(r[3] for r in runs), blocks_skipped=skipped)
+                          method="shift-invert" if skipped or solves else "dense",
+                          lu_solves=solves, blocks_skipped=skipped)
 
 
 # -- closed forms for the single-qubit chain ---------------------------------

@@ -249,7 +249,7 @@ def _solve_every_copy(H, k, manifold, seed):
     ground = np.zeros((H.dim, manifold), dtype=np.result_type(*(e[1] for e in each)))
     for j, i in enumerate(lowest[:manifold]):
         ground[blocks[owner[i]][0], j] = each[owner[i]][1][:, column[i]]
-    return union[lowest], ground, sum(e[3] for e in each)
+    return union[lowest], ground, sum(e[2] for e in each)
 
 
 def check_block_spectrum_oracle(seed=7):
@@ -257,7 +257,8 @@ def check_block_spectrum_oracle(seed=7):
     ground manifold and ground-cluster projector.  Above the dense cap,
     against solving every copy on its own: a program whose blocks come in
     identical copies, which are solved once, and a pinned one whose blocks
-    are skipped when the inertia test shows them above the k lowest."""
+    are skipped when the inertia test shows them above the k lowest; and two
+    1024-blocks asked for more values than Lanczos takes, against the chain."""
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases = [  # (program, k); dimensions 1000, 1024 and 400, each with several blocks
@@ -304,6 +305,9 @@ def check_block_spectrum_oracle(seed=7):
                               float(np.max(np.linalg.norm(w - v @ (v.conj().T @ w), axis=0))))
         solves.append(f"{got.lu_solves} (every copy solved: {every}, "
                       f"blocks skipped: {got.blocks_skipped})")
+    got = solve_spectrum(ham.assemble(Program(num_qubits=1, num_steps=1023))[1], k=400, seed=seed)
+    worst_level = max(worst_level, np.abs(got.eigenvalues - solve_tipped_levels(1023)[:400]).max())
+    solves.append(f"{got.lu_solves} (two 1024-blocks at k=400)")
     passed = not details and worst_level < 1e-10 and worst_projector < 1e-8
     return passed, "; ".join(details) or (f"max level deviation {worst_level:.2e}, "
                                           f"projector {worst_projector:.2e}, LU solves "

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsqc.bounds import upper_bound
 from gsqc.cli import main
@@ -14,7 +16,7 @@ from gsqc.detection import attach_readout, choose_beta
 import gsqc.eigensolve
 from gsqc.eigensolve import (_blocks, _levels_below, _solve_block, analytic_levels, char_det,
                              dense_spectrum, low_lying, solve_spectrum, solve_tipped_levels)
-from gsqc.errors import SolverError
+from gsqc.errors import SolverError, TruncatedClusterError
 from gsqc.hamiltonian import assemble
 from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, pin_all,
                           program_to_dict)
@@ -111,10 +113,13 @@ def test_low_lying_gap_below_variational_bound():
     assert 0 < res.gap <= 1.0 / 20.0 + 1e-10
 
 
-def test_low_lying_small_dimension_falls_back_dense():
+def test_small_dimension_refused_by_low_lying_solved_dense():
+    # dimension 4: k=3 needs 7 Ritz values, beyond ARPACK_NEV_FRACTION of it
     _, H = assemble(Program(num_qubits=1, num_steps=1))
-    res = low_lying(H, k=3)
-    assert res.method == "dense-fallback"
+    with pytest.raises(SolverError, match="smaller k"):
+        low_lying(H, k=3)
+    res = solve_spectrum(H, k=3)
+    assert res.method == "dense"
     assert np.allclose(res.eigenvalues, [0, 0, 2], atol=1e-12)
 
 
@@ -227,14 +232,16 @@ def test_low_lying_rejects_cluster_filling_k():
         low_lying(H, k=8)
     _, H = assemble(Program(num_qubits=1, num_steps=1))
     with pytest.raises(SolverError, match="larger k"):
-        low_lying(H, k=2)  # dense fallback
+        solve_spectrum(H, k=2)  # two dense blocks
 
 
-def test_low_lying_dense_fallback_respects_cap():
-    # k=1500 leaves too few values for ARPACK, and a dense solve at 4356
-    # would exceed the cap
-    with pytest.raises(SolverError, match=r"k=1500.*4356.*4096.*smaller k"):
-        low_lying(m2_n32(), k=1500)
+def test_dense_block_solve_respects_cap():
+    # one block of dimension 4098: k=1000 leaves too few values for ARPACK,
+    # and a dense solve would exceed the cap
+    _, H = assemble(Program(num_qubits=1, num_steps=2048, gates=[gate_single(1024, 0, HAD)]))
+    assert len(_blocks(H)) == 1 and H.dim == 4098
+    with pytest.raises(SolverError, match=r"k=1000.*4098.*4096.*smaller k"):
+        solve_spectrum(H, k=1000)
 
 
 def test_low_lying_refuses_ritz_count_beyond_fraction_of_dimension():
@@ -287,6 +294,35 @@ def test_ground_cluster_scales_with_epsilon(eps):
         assert abs(res.gap / eps - unit.gap) <= 1e-9 * unit.gap
 
 
+EPSILON_PROGRAMS = {  # (program, k): every block dense; a Lanczos block of 817
+    "dense": (Program(num_qubits=2, num_steps=3, gates=[gate_cnot(2, 0, 1)]), 5),
+    "lanczos": (Program(num_qubits=2, num_steps=32, gates=[gate_cnot(16, 0, 1)]), 5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def solved_at_epsilon(name, eps):
+    prog, k = EPSILON_PROGRAMS[name]
+    _, H = assemble(replace(prog, epsilon=eps))
+    return solve_spectrum(H, k=k), gsqc.eigensolve._scale(H)
+
+
+@pytest.mark.parametrize("name", sorted(EPSILON_PROGRAMS))
+@settings(max_examples=20, deadline=None)
+@given(exponent=st.floats(min_value=-9.0, max_value=9.0))
+def test_spectrum_scales_exactly_with_epsilon(name, exponent):
+    # epsilon log-uniform over 1e-9..1e9: levels/eps, gap/eps and the
+    # manifold are those of epsilon=1
+    eps = 10.0 ** exponent
+    unit, scale = solved_at_epsilon(name, 1.0)
+    res, _ = solved_at_epsilon(name, eps)
+    assert (unit.lu_solves > 0) == (name == "lanczos")
+    assert res.ground_manifold_dim == unit.ground_manifold_dim
+    assert abs(res.gap / eps - unit.gap) <= 1e-9 * unit.gap
+    assert np.all(np.abs(res.eigenvalues / eps - unit.eigenvalues)
+                  <= 1e-9 * np.maximum(np.abs(unit.eigenvalues), scale))
+
+
 # -- identical blocks -----------------------------------------------------------
 
 
@@ -320,10 +356,32 @@ def test_gap_scan_rows_solve_each_distinct_block_once(N, monkeypatch):
 def test_copies_add_no_lu_solves():
     H = gap_scan_row(8)
     res = solve_spectrum(H, k=9)
-    each = sum(_solve_block(members.size, rows, cols, vals, min(9, members.size), 7)[3]
+    each = sum(_solve_block(members.size, rows, cols, vals, min(9, members.size), 7)[2]
                for members, rows, cols, vals in _blocks(H))
     assert res.method == "shift-invert" and res.lu_solves > 0
     assert 8 * res.lu_solves == each
+
+
+def test_ask_again_reapplies_the_size_rule(monkeypatch):
+    # a 1024-dimensional chain block: m=64 fits Lanczos, the doubled m=128
+    # needs 192 Ritz values, beyond ARPACK_NEV_FRACTION of it, so goes dense
+    calls = []
+    real = gsqc.eigensolve.low_lying
+
+    def truncated_once(H, k, seed):
+        calls.append(k)
+        if len(calls) == 1:
+            raise TruncatedClusterError("pass a larger k")
+        return real(H, k, seed=seed)
+
+    monkeypatch.setattr(gsqc.eigensolve, "low_lying", truncated_once)
+    _, H = assemble(Program(num_qubits=1, num_steps=1023))
+    members, rows, cols, vals = _blocks(H)[0]
+    assert members.size == 1024
+    values, vectors, solves = _solve_block(members.size, rows, cols, vals, 64, 7)
+    assert calls == [64] and solves == 0 and vectors.shape == (1024, 128)
+    # each chain level appears twice in the closed form, once per column
+    assert np.max(np.abs(values - solve_tipped_levels(1023)[::2][:128])) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [40, 600])  # a LAPACK block and a shift-invert block
