@@ -70,7 +70,6 @@ class GapBounds:
 
     gap: float
     upper: float
-    tipped_upper_scale: float
     alpha_empirical: float      # gap * (N+1)^4, the lower-bound-form constant
 
     def satisfied(self) -> bool:
@@ -89,8 +88,7 @@ def check_bounds(program: Program, gap: float, alpha_floor: float | None = None)
     ub = upper_bound(program)
     N = program.num_steps
     alpha = gap * (N + 1) ** 4
-    bounds = GapBounds(gap=gap, upper=ub, tipped_upper_scale=tipped_upper_scale(program),
-                       alpha_empirical=alpha)
+    bounds = GapBounds(gap=gap, upper=ub, alpha_empirical=alpha)
     if not bounds.satisfied():
         raise BoundViolationError(
             f"measured gap {gap:.6e} exceeds variational upper bound {ub:.6e} "

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 
 from .bounds import scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
@@ -17,7 +18,7 @@ from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError
                      ProgramError, SolverError)
 from .eigensolve import DEFAULT_SEED, solve_spectrum
 from .hamiltonian import assemble
-from .program import Pin, Program, load_program
+from .program import Pin, Program, gate_cid, gate_cnot, load_program
 from .semantics import run_program
 from . import verify as verify_mod
 
@@ -195,7 +196,6 @@ def _eigenpairs(args, num_qubits: int) -> int:
 
 
 def _gap_row(args, N: int):
-    import time
     t0 = time.perf_counter()
     row = {"N": N, "M": args.m, "gates": "none", "e0": None, "gap": None,
            "upper": None, "alpha4": None, "iterations": 0, "status": "ok"}
@@ -203,7 +203,6 @@ def _gap_row(args, N: int):
         gates = []
         if args.gate != "none":
             j = max(1, (N + 1) // 2) if args.j == "mid" else args.j
-            from .program import gate_cnot, gate_cid
             gates = [gate_cnot(j, 0, 1) if args.gate == "cnot" else gate_cid(j, 0, 1)]
             row["gates"] = f"{args.gate}@{j}:0>1"
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,

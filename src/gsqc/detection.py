@@ -113,7 +113,6 @@ def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: flo
 class CidSyncResult:
     conditional: float          # P(every qubit past its last gate row | last qubit at N)
     p_all_final: float          # strict all-at-row-N probability
-    p_last_final: float
     sync_rows: tuple[int, ...]  # per qubit: its last two-body gate row (N if none)
 
 
@@ -148,7 +147,6 @@ def cid_sync_check(psi, basis: ConfigurationBasis, program: Program) -> CidSyncR
         raise ValueError("last qubit has zero final-row probability")
     return CidSyncResult(conditional=p_sync / p_last,
                          p_all_final=detection_probability(psi, basis),
-                         p_last_final=p_last,
                          sync_rows=sync_rows)
 
 

@@ -3,9 +3,10 @@
 The history Hamiltonian is block-diagonal: hopping and gate terms connect
 only some configurations.  ``solve_spectrum`` finds the connected blocks on
 the sparsity pattern and solves each on its own, by size (``_solve_block``
-alone decides): shift-invert Lanczos on a large block, and otherwise LAPACK.
-A large block that Sylvester's law of inertia shows to hold no level below
-the k lowest found so far is skipped.
+alone decides): shift-invert Lanczos (``low_lying``) on a large block, and
+otherwise LAPACK.  A large block that Sylvester's law of inertia shows to
+hold no level below the k lowest found so far is skipped.  Only the union of
+the blocks' values (``_union``) judges whether the ground cluster is whole.
 
 The single-qubit chain with identity development is two decoupled
 (N+1)-site hopping chains (one per column), so its exact spectrum is the
@@ -15,7 +16,7 @@ edges; its zeros are the chain levels for any tipping factor beta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,9 +55,13 @@ class SpectralResult:
     eigenvectors: np.ndarray | None
     ground_manifold_dim: int
     gap: float | None
-    method: str
     lu_solves: int = 0
     blocks_skipped: int = 0
+
+    @property
+    def method(self) -> str:
+        """shift-invert when a block took Lanczos (one LU solve at least) or was skipped."""
+        return "shift-invert" if self.lu_solves or self.blocks_skipped else "dense"
 
     @property
     def ground_energy(self) -> float:
@@ -89,18 +94,7 @@ def dense_spectrum(H: SparseHermitian, vectors: bool = True) -> SpectralResult:
     else:
         vals, vecs = np.linalg.eigvalsh(dense), None
     manifold, gap = _cluster(vals, _scale(H))
-    return SpectralResult(vals, vecs, manifold, gap, method="dense")
-
-
-def _complete_cluster(vals: np.ndarray, k: int, dim: int,
-                      scale: float) -> tuple[int, float | None]:
-    """Cluster the k lowest values; a cluster filling all k of fewer than dim
-    values may continue above them, so it is an error, not a result."""
-    manifold, gap = _cluster(vals, scale)
-    if manifold == k < dim:
-        raise TruncatedClusterError(f"lowest cluster fills all k={k} requested values and "
-                                    f"may extend beyond them: pass a larger k")
-    return manifold, gap
+    return SpectralResult(vals, vecs, manifold, gap)
 
 
 def _ritz_count(k: int) -> int:
@@ -115,8 +109,9 @@ def _shift_factor(csr, shift: float):
     return shifted, spla.splu(shifted, **SYMMETRIC_LU)
 
 
-def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
-    """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``).
+def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
+    """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``):
+    (ascending values, vectors, LU solves run).
 
     The assembled operators are positive semi-definite, so a small negative
     shift makes the factorized operator strictly definite; its sparse LU,
@@ -125,7 +120,8 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     smallest.  Every returned pair must meet the residual bar
     RESIDUAL_TOL * scale, where scale is the largest |diagonal entry|;
     otherwise, or when ARPACK does not converge, ConvergenceError is raised.
-    A lowest cluster that fills all k values raises TruncatedClusterError.
+    The pairs are returned as they stand, a lowest cluster filling all k
+    values included: whether it is complete is for the union to judge.
     The start vector and every restart vector ARPACK asks for are drawn from
     ``seed``, so two calls on the same H give the same pairs, bit for bit,
     and the same LU solve count.  A k needing more Ritz values (_ritz_count)
@@ -165,9 +161,7 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralR
     bar = RESIDUAL_TOL * scale
     if worst > bar:
         raise ConvergenceError(f"eigenpair residual {worst:.3e} above {bar:.3e}")
-    manifold, gap = _complete_cluster(vals, k, dim, scale)
-    return SpectralResult(vals, vecs, manifold, gap, method="shift-invert",
-                          lu_solves=solves)
+    return vals, vecs, solves
 
 
 def _blocks(H: SparseHermitian):
@@ -230,18 +224,14 @@ def _solve_block(n: int, rows, cols, vals, m: int, seed: int,
                  operator: SparseHermitian | None = None):
     """The m lowest eigenpairs of one block: (values, vectors, LU solves).
 
-    Above DENSE_BLOCK_MAX, low_lying on ``operator`` (built if None) while
-    m's Ritz count fits in ARPACK_NEV_FRACTION of n; m doubles when a lowest
-    cluster fills its m values (the union's k lowest stay exact).  Else
-    LAPACK: on m values if TINY_BLOCK_MAX < n <= DENSE_BLOCK_MAX, else on
-    the whole block, faster there, up to DENSE_DIM_CAP (SolverError above)."""
-    while n > DENSE_BLOCK_MAX and _ritz_count(m) <= ARPACK_NEV_FRACTION * n:
+    Above DENSE_BLOCK_MAX, low_lying on ``operator`` (built if None) when
+    m's Ritz count fits in ARPACK_NEV_FRACTION of n.  Else LAPACK: on m
+    values if TINY_BLOCK_MAX < n <= DENSE_BLOCK_MAX, else on the whole
+    block, faster there, up to DENSE_DIM_CAP (SolverError above).  Either
+    way the m lowest values are exact, so the union's k lowest are too."""
+    if n > DENSE_BLOCK_MAX and _ritz_count(m) <= ARPACK_NEV_FRACTION * n:
         operator = SparseHermitian(n, rows, cols, vals) if operator is None else operator
-        try:
-            res = low_lying(operator, m, seed=seed)
-            return res.eigenvalues, res.eigenvectors, res.lu_solves
-        except TruncatedClusterError:
-            m = min(2 * m, n)
+        return low_lying(operator, m, seed=seed)
     if n > DENSE_DIM_CAP:
         raise SolverError(f"k={m} needs a dense solve of dimension {n}, above the "
                           f"cap {DENSE_DIM_CAP}: pass a smaller k")
@@ -252,6 +242,26 @@ def _solve_block(n: int, rows, cols, vals, m: int, seed: int,
         return values, vectors, 0
     values, vectors = np.linalg.eigh(upper, UPLO="U")
     return values[:m], vectors[:, :m], 0
+
+
+def _union(dim: int, k: int, scale: float, parts) -> SpectralResult:
+    """The k lowest of the blocks' values, and the ground cluster's columns at
+    their own block's indices; ``parts`` holds (indices, values, local vectors)
+    per block, in block order.  The one judge of the cluster: one filling all
+    k of fewer than dim values may continue above them, so it is an error."""
+    index, values, vectors = zip(*parts)
+    owner = np.repeat(np.arange(len(values)), [v.size for v in values])
+    column = np.concatenate([np.arange(v.size) for v in values])
+    union = np.concatenate(values)
+    lowest = np.argsort(union, kind="stable")[:k]
+    manifold, gap = _cluster(union[lowest], scale)
+    if manifold == k < dim:
+        raise TruncatedClusterError(f"lowest cluster fills all k={k} requested values and "
+                                    f"may extend beyond them: pass a larger k")
+    ground = np.zeros((dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))
+    for j, i in enumerate(lowest[:manifold]):
+        ground[index[owner[i]], j] = vectors[owner[i]][:, column[i]]
+    return SpectralResult(union[lowest], ground, manifold, gap)
 
 
 def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
@@ -272,8 +282,8 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
 
     The eigenvectors are one column per ground-cluster member, zero outside
     the block that holds it.  A lowest cluster that fills all k values of
-    the union raises SolverError.  ``method`` is "shift-invert" when any
-    large block took it or was skipped.
+    the union raises TruncatedClusterError (_union), a block's own cluster
+    filling its values does not.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -306,21 +316,9 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
         solved[key] = _solve_block(n, rows, cols, vals, min(k, n), seed, block)
         found += [solved[key][0]] * len(copies[key])
 
-    kept = [b for b, key in enumerate(keys) if key in solved]
-    index = [blocks[b][0] for b in kept]
-    values, vectors, _ = zip(*(solved[keys[b]] for b in kept))
-    owner = np.repeat(np.arange(len(values)), [v.size for v in values])
-    column = np.concatenate([np.arange(v.size) for v in values])
-    union = np.concatenate(values)
-    lowest = np.argsort(union, kind="stable")[:k]
-    manifold, gap = _complete_cluster(union[lowest], k, H.dim, scale)
-    ground = np.zeros((H.dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))
-    for j, i in enumerate(lowest[:manifold]):
-        ground[index[owner[i]], j] = vectors[owner[i]][:, column[i]]
-    solves = sum(r[2] for r in solved.values())  # Lanczos runs at least one LU solve
-    return SpectralResult(union[lowest], ground, manifold, gap,
-                          method="shift-invert" if skipped or solves else "dense",
-                          lu_solves=solves, blocks_skipped=skipped)
+    parts = [(blocks[b][0], *solved[key][:2]) for b, key in enumerate(keys) if key in solved]
+    return replace(_union(H.dim, k, scale, parts), blocks_skipped=skipped,
+                   lu_solves=sum(r[2] for r in solved.values()))
 
 
 # -- closed forms for the single-qubit chain ---------------------------------

@@ -13,7 +13,8 @@ import numpy as np
 
 from .basis import ConfigurationBasis, enumerate_basis
 from .detection import build_report, DetectionReport
-from .errors import ConsistencyError, IndeterminateInputError, ProgramError
+from .errors import (ConsistencyError, IndeterminateInputError, ProgramError, SolverError,
+                     TruncatedClusterError)
 from .eigensolve import DEFAULT_SEED, _scale, solve_spectrum
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
@@ -122,7 +123,6 @@ class RunResult:
     energy_scale: float  # H's largest |diagonal entry|, the unit of its tolerances
     gap: float | None
     detection: DetectionReport
-    method: str
     ground_state: np.ndarray  # the solved ground vector, indexed by basis
     basis: ConfigurationBasis
 
@@ -141,14 +141,20 @@ class RunResult:
 def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     """Assemble, solve for the ground state, verify development, read output.
 
-    Requires every input pinned so the ground state is unique.
+    Requires every input pinned so the ground state is unique; a ground
+    level that is degenerate all the same raises SolverError.
     """
     validate_program(program)
     if program.pinned_qubits() != set(range(program.num_qubits)):
         raise ProgramError("run_program requires every qubit input pinned")
     terms, H = assemble(program)
     basis = terms.basis
-    result = solve_spectrum(H, k=2, seed=seed)
+    try:
+        result = solve_spectrum(H, k=2, seed=seed)
+    except TruncatedClusterError as exc:
+        raise SolverError("the ground level is degenerate, so the pinned program's ground "
+                          "state is not unique; with readout particles this means its "
+                          "output does not factor") from exc
     psi = result.ground_vector()
     residual = verify_development(psi, program, basis)
     if residual > RUN_RESIDUAL_TOL:
@@ -166,8 +172,7 @@ def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     report = build_report(psi, basis, program)
     return RunResult(logical_state=logical, residual=residual,
                      ground_energy=result.ground_energy, energy_scale=_scale(H),
-                     gap=result.gap, detection=report, method=result.method,
-                     ground_state=psi, basis=basis)
+                     gap=result.gap, detection=report, ground_state=psi, basis=basis)
 
 
 # -- randomized program generator (test suites) -------------------------------

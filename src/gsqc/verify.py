@@ -16,7 +16,7 @@ from .basis import ConfigurationBasis, enumerate_basis
 from .bounds import upper_bound
 from .detection import (attach_readout, choose_beta, cid_sync_check,
                         infer_output_from_readout, predicted_gate_free)
-from .eigensolve import (_blocks, _scale, _solve_block, analytic_levels, char_det,
+from .eigensolve import (_blocks, _scale, _solve_block, _union, analytic_levels, char_det,
                          dense_spectrum, solve_spectrum, solve_tipped_levels)
 from .program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from .semantics import (_random_unitary, random_program, reference_circuit,
@@ -236,20 +236,14 @@ def check_variational_upper_bound(seed=7):
     return not details, "; ".join(details) if details else "gap within (0, bound] on the grid"
 
 
-def _solve_every_copy(H, k, manifold, seed):
-    """H's k lowest levels, the columns of its lowest `manifold` and its LU
-    solves, solving each block on its own, identical copies included."""
+def _solve_every_copy(H, k, seed):
+    """solve_spectrum's result, solving each block on its own, identical
+    copies included, and skipping none."""
     blocks = _blocks(H)
     each = [_solve_block(members.size, rows, cols, vals, min(k, members.size), seed)
             for members, rows, cols, vals in blocks]
-    owner = np.concatenate([np.full(e[0].size, b) for b, e in enumerate(each)])
-    column = np.concatenate([np.arange(e[0].size) for e in each])
-    union = np.concatenate([e[0] for e in each])
-    lowest = np.argsort(union, kind="stable")[:k]
-    ground = np.zeros((H.dim, manifold), dtype=np.result_type(*(e[1] for e in each)))
-    for j, i in enumerate(lowest[:manifold]):
-        ground[blocks[owner[i]][0], j] = each[owner[i]][1][:, column[i]]
-    return union[lowest], ground, sum(e[2] for e in each)
+    parts = [(members, e[0], e[1]) for (members, *_), e in zip(blocks, each)]
+    return replace(_union(H.dim, k, _scale(H), parts), lu_solves=sum(e[2] for e in each))
 
 
 def check_block_spectrum_oracle(seed=7):
@@ -296,14 +290,17 @@ def check_block_spectrum_oracle(seed=7):
     for prog, k in ((Program(num_qubits=3, num_steps=8, gates=[gate_cnot(4, 0, 1)]), 9),
                     (chain, 2)):
         _, H = ham.assemble(prog)
-        got = solve_spectrum(H, k=k, seed=seed)
-        v = got.eigenvectors
-        levels, w, every = _solve_every_copy(H, k, v.shape[1], seed)
-        worst_level = max(worst_level, float(np.max(np.abs(got.eigenvalues - levels))))
+        got, want = solve_spectrum(H, k=k, seed=seed), _solve_every_copy(H, k, seed)
+        if got.ground_manifold_dim != want.ground_manifold_dim:
+            details.append(f"dim {H.dim}: manifold {got.ground_manifold_dim} "
+                           f"!= {want.ground_manifold_dim} with every copy solved")
+            continue
+        worst_level = max(worst_level, float(np.max(np.abs(got.eigenvalues - want.eigenvalues))))
         # the part of each column solved per copy that lies outside the memoized span
+        v, w = got.eigenvectors, want.eigenvectors
         worst_projector = max(worst_projector,
                               float(np.max(np.linalg.norm(w - v @ (v.conj().T @ w), axis=0))))
-        solves.append(f"{got.lu_solves} (every copy solved: {every}, "
+        solves.append(f"{got.lu_solves} (every copy solved: {want.lu_solves}, "
                       f"blocks skipped: {got.blocks_skipped})")
     got = solve_spectrum(ham.assemble(Program(num_qubits=1, num_steps=1023))[1], k=400, seed=seed)
     worst_level = max(worst_level, np.abs(got.eigenvalues - solve_tipped_levels(1023)[:400]).max())

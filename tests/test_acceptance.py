@@ -95,7 +95,7 @@ def test_criterion_04_cnot_spectrum_oracle():
 
             prog = Program(num_qubits=2, num_steps=N, gates=[gate_cnot(j, 0, 1)])
             _, H = assemble(prog)
-            res = (dense_spectrum(H) if H.dim <= 4096 else low_lying(H, k=6))
+            res = (dense_spectrum(H) if H.dim <= 4096 else solve_spectrum(H, k=6))
             assert 0.0 < res.gap <= level8 * (1 + 1e-12)
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -133,6 +133,23 @@ def test_run_readout_at_large_epsilon(tmp_path, capsys):
     assert "readout_error" not in out
 
 
+def test_run_bell_readout_names_degenerate_ground_level(tmp_path, capsys):
+    # H then CNOT on inputs 00 gives a Bell state, which no readout product
+    # matches: the frustrated ground level is twofold, not a k to grow
+    h = 2 ** -0.5
+    doc = {"qubits": 2, "steps": 2,
+           "gates": [{"kind": "single", "row": 1, "qubit": 0,
+                      "matrix": [[[h, 0], [h, 0]], [[h, 0], [-h, 0]]]},
+                     {"kind": "cnot", "row": 2, "control": 0, "target": 1}],
+           "pins": [{"qubit": 0, "bit": 0}, {"qubit": 1, "bit": 0}], "readout": [0, 1]}
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--program", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "ground level is degenerate" in err and "does not factor" in err
+    assert "larger k" not in err
+
+
 def test_gap_scan_single_qubit_with_footer(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "12",

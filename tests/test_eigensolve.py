@@ -14,9 +14,10 @@ from gsqc.bounds import upper_bound
 from gsqc.cli import main
 from gsqc.detection import attach_readout, choose_beta
 import gsqc.eigensolve
-from gsqc.eigensolve import (_blocks, _levels_below, _solve_block, analytic_levels, char_det,
-                             dense_spectrum, low_lying, solve_spectrum, solve_tipped_levels)
-from gsqc.errors import SolverError, TruncatedClusterError
+from gsqc.eigensolve import (CLUSTER_TOL, _blocks, _levels_below, _solve_block,
+                             analytic_levels, char_det, dense_spectrum, low_lying,
+                             solve_spectrum, solve_tipped_levels)
+from gsqc.errors import SolverError
 from gsqc.hamiltonian import assemble
 from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, pin_all,
                           program_to_dict)
@@ -89,28 +90,34 @@ def test_dense_residuals_and_orthonormality():
 # -- iterative solver -----------------------------------------------------------
 
 
+def lowest_cluster(values, H):
+    """The size of the cluster of values within CLUSTER_TOL * scale of the
+    lowest, and the gap above it."""
+    dim = int(np.sum(values <= values[0] + CLUSTER_TOL * gsqc.eigensolve._scale(H)))
+    return dim, float(values[dim] - values[0])
+
+
 def test_low_lying_ground_energy_zero():
     _, H = assemble(Program(num_qubits=2, num_steps=6, gates=[gate_cnot(3, 0, 1)]))
-    res = low_lying(H, k=5)
-    assert abs(res.eigenvalues[0]) < 1e-8
-    assert res.ground_manifold_dim == 4
+    values, _, _ = low_lying(H, k=5)
+    assert abs(values[0]) < 1e-8
+    assert lowest_cluster(values, H)[0] == 4
 
 
 def test_low_lying_matches_dense_oracle():
     _, H = assemble(Program(num_qubits=3, num_steps=4))
     dense = dense_spectrum(H)
-    it = low_lying(H, k=9)
-    assert np.allclose(it.eigenvalues, dense.eigenvalues[:9], atol=1e-8)
-    assert it.lu_solves > 0
-    V = it.eigenvectors
+    values, V, solves = low_lying(H, k=9)
+    assert np.allclose(values, dense.eigenvalues[:9], atol=1e-8)
+    assert solves > 0
     assert np.max(np.abs(V.T @ V - np.eye(9))) < 1e-10
 
 
 def test_low_lying_gap_below_variational_bound():
     prog = Program(num_qubits=2, num_steps=8, gates=[gate_cnot(4, 0, 1)])
     _, H = assemble(prog)
-    res = low_lying(H, k=5)
-    assert 0 < res.gap <= 1.0 / 20.0 + 1e-10
+    _, gap = lowest_cluster(low_lying(H, k=5)[0], H)
+    assert 0 < gap <= 1.0 / 20.0 + 1e-10
 
 
 def test_small_dimension_refused_by_low_lying_solved_dense():
@@ -179,15 +186,20 @@ def _oracle_cases():
     cases.append(pytest.param(pin_all(Program(
         num_qubits=2, num_steps=15, gates=[gate_single(1, q, HAD) for q in range(2)]
         + [gate_cnot(8, 0, 1)], tip_beta=0.3), "10"), 2, id="blocks-m2-n15-tipped"))
-    # a 624-dim block whose lowest level is twofold, so k=2 is asked again
+    cases.append(pytest.param(twofold_block_program(), 2, id="twofold-block-m2-n24"))
+    return cases
+
+
+def twofold_block_program():
+    """Blocks of 1876 and 624, the 624-block's lowest level twofold: at k=2
+    its lowest cluster fills its values, but the union's ground level is the
+    1876-block's."""
     def rot(t):
         return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
 
-    cases.append(pytest.param(pin_all(Program(
+    return pin_all(Program(
         num_qubits=2, num_steps=24, gates=[gate_cnot(12, 1, 0), gate_single(24, 0, rot(0.3))]
-        + [gate_single(r, 1, rot(0.2 * r)) for r in (1, 11, 23, 24)]), "10"), 2,
-        id="asked-again-m2-n24"))
-    return cases
+        + [gate_single(r, 1, rot(0.2 * r)) for r in (1, 11, 23, 24)]), "10")
 
 
 @pytest.mark.parametrize("prog,k", _oracle_cases())
@@ -211,10 +223,10 @@ def test_solve_spectrum_matches_dense_oracle(prog, k):
 
 def test_low_lying_resolves_eightfold_manifold_against_dense():
     _, H = assemble(Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1)]))
-    res = low_lying(H, k=9)
-    assert res.method == "shift-invert"
-    assert res.ground_manifold_dim == 8
-    assert np.allclose(res.eigenvalues, dense_spectrum(H).eigenvalues[:9], atol=1e-8)
+    values, _, solves = low_lying(H, k=9)
+    assert solves > 0
+    assert lowest_cluster(values, H)[0] == 8
+    assert np.allclose(values, dense_spectrum(H).eigenvalues[:9], atol=1e-8)
 
 
 def test_low_lying_eightfold_manifold_above_dense_cutoff():
@@ -229,7 +241,7 @@ def test_low_lying_eightfold_manifold_above_dense_cutoff():
 def test_low_lying_rejects_cluster_filling_k():
     _, H = assemble(Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1)]))
     with pytest.raises(SolverError, match="larger k"):
-        low_lying(H, k=8)
+        solve_spectrum(H, k=8)
     _, H = assemble(Program(num_qubits=1, num_steps=1))
     with pytest.raises(SolverError, match="larger k"):
         solve_spectrum(H, k=2)  # two dense blocks
@@ -260,7 +272,7 @@ def test_low_lying_deterministic():
     _, H = assemble(Program(num_qubits=2, num_steps=5, gates=[gate_cnot(2, 0, 1)]))
     a = low_lying(H, k=5, seed=3)
     b = low_lying(H, k=5, seed=3)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a[0], b[0]) and a[2] == b[2]
 
 
 def test_low_lying_reproducible_across_processes():
@@ -287,11 +299,13 @@ def test_ground_cluster_scales_with_epsilon(eps):
     def solved(e):
         _, H = assemble(Program(num_qubits=2, num_steps=3, gates=[gate_cnot(2, 0, 1)],
                                 epsilon=e))
-        return [solve_spectrum(H, k=64), dense_spectrum(H), low_lying(H, k=5)]
+        return ([(r.ground_manifold_dim, r.gap) for r in (solve_spectrum(H, k=64),
+                                                          dense_spectrum(H))]
+                + [lowest_cluster(low_lying(H, k=5)[0], H)])
 
-    for res, unit in zip(solved(eps), solved(1.0)):
-        assert res.ground_manifold_dim == 4
-        assert abs(res.gap / eps - unit.gap) <= 1e-9 * unit.gap
+    for (dim, gap), (_, unit) in zip(solved(eps), solved(1.0)):
+        assert dim == 4
+        assert abs(gap / eps - unit) <= 1e-9 * unit
 
 
 EPSILON_PROGRAMS = {  # (program, k): every block dense; a Lanczos block of 817
@@ -362,26 +376,25 @@ def test_copies_add_no_lu_solves():
     assert 8 * res.lu_solves == each
 
 
-def test_ask_again_reapplies_the_size_rule(monkeypatch):
-    # a 1024-dimensional chain block: m=64 fits Lanczos, the doubled m=128
-    # needs 192 Ritz values, beyond ARPACK_NEV_FRACTION of it, so goes dense
+def test_block_whose_cluster_fills_m_takes_one_lanczos_run(monkeypatch):
+    # the 624-block's twofold lowest level fills its k=2 values; it is not
+    # the union's ground level, so it is solved once, as it stands
     calls = []
     real = gsqc.eigensolve.low_lying
 
-    def truncated_once(H, k, seed):
-        calls.append(k)
-        if len(calls) == 1:
-            raise TruncatedClusterError("pass a larger k")
-        return real(H, k, seed=seed)
+    def recorded(H, k, seed):
+        values, vectors, solves = real(H, k, seed=seed)
+        calls.append((H.dim, k, solves))
+        return values, vectors, solves
 
-    monkeypatch.setattr(gsqc.eigensolve, "low_lying", truncated_once)
-    _, H = assemble(Program(num_qubits=1, num_steps=1023))
-    members, rows, cols, vals = _blocks(H)[0]
-    assert members.size == 1024
-    values, vectors, solves = _solve_block(members.size, rows, cols, vals, 64, 7)
-    assert calls == [64] and solves == 0 and vectors.shape == (1024, 128)
-    # each chain level appears twice in the closed form, once per column
-    assert np.max(np.abs(values - solve_tipped_levels(1023)[::2][:128])) <= 1e-12
+    monkeypatch.setattr(gsqc.eigensolve, "low_lying", recorded)
+    _, H = assemble(twofold_block_program())
+    got = solve_spectrum(H, k=2)
+    assert sorted((dim, k) for dim, k, _ in calls) == [(624, 2), (1876, 2)]
+    assert got.lu_solves == sum(solves for _, _, solves in calls)
+    want = dense_spectrum(H, vectors=False)
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues[:2])) <= 1e-10
+    assert got.ground_manifold_dim == want.ground_manifold_dim == 1
 
 
 @pytest.mark.parametrize("n", [40, 600])  # a LAPACK block and a shift-invert block
