@@ -5,7 +5,9 @@ only some configurations.  ``solve_spectrum`` finds the connected blocks on
 the sparsity pattern and solves each on its own, by size (``_solve_block``
 alone decides): shift-invert Lanczos (``low_lying``) on a large block, and
 otherwise LAPACK.  A large block that Sylvester's law of inertia shows to
-hold no level below the k lowest found so far is skipped.  Only the union of
+hold no level below the k lowest found so far is skipped, and so is one
+that differs from a block so skipped only by a larger diagonal (Weyl's
+monotonicity theorem puts its levels no lower).  Only the union of
 the blocks' values (``_union``) judges whether the ground cluster is whole.
 
 The single-qubit chain with identity development is two decoupled
@@ -273,12 +275,18 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
     a solve of its own would give, placed at the copy's own indices.
 
     Distinct blocks are solved in a cheap order: the dense ones first, then
-    the large ones by ascending mean diagonal.  Once the solved blocks,
-    copies counted, hold k values, a large block is first factored at tau,
-    their k-th lowest plus CLUSTER_TOL * scale.  A trusted count of no level
-    below tau (_levels_below) means it cannot change the k lowest, so it is
-    skipped with its copies.  The union is taken in block order, so the
-    solve order changes only the cost.
+    the large ones by ascending 1^T B 1 / n, the all-ones Rayleigh quotient,
+    an upper bound on the lowest level.  Once the solved blocks, copies
+    counted, hold k values, a large block is first factored at tau, their
+    k-th lowest plus CLUSTER_TOL * scale.  A trusted count of no level below
+    tau (_levels_below) means it cannot change the k lowest, so it is
+    skipped with its copies.  A later block with the same size, coordinates
+    and off-diagonal values as a block so skipped, and a diagonal at least
+    as large at every entry, is skipped unfactored: by Weyl's monotonicity
+    theorem its lowest level is at least that block's, which was at least
+    tau then, and tau only falls as blocks are solved.  A larger diagonal
+    also gives a larger order key, so the dominated block comes first.  The
+    union is taken in block order, so the solve order changes only the cost.
 
     The eigenvectors are one column per ground-cluster member, zero outside
     the block that holds it.  A lowest cluster that fills all k values of
@@ -295,22 +303,31 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
     for b, key in enumerate(keys):
         copies.setdefault(key, []).append(b)
 
-    def cost(key):
+    def cost(key):  # a large block's 1^T B 1 / n, an upper bound on its lowest level
         members, rows, cols, vals = blocks[copies[key][0]]
         if members.size <= DENSE_BLOCK_MAX:
             return 0, 0.0
-        return 1, float(np.sum(vals[rows == cols].real)) / members.size
+        diag = rows == cols
+        return 1, float(np.sum(vals[diag].real) + 2 * np.sum(vals[~diag].real)) / members.size
 
     solved = {}  # key -> its _solve_block result
     found = []  # the values solved so far, one array per copy
+    floors = {}  # (n, rows, cols, off-diagonal values) -> diagonals of blocks skipped by inertia
     skipped = 0
     for key in sorted(copies, key=cost):
         members, rows, cols, vals = blocks[copies[key][0]]
         n, block = members.size, None
         if n > DENSE_BLOCK_MAX and sum(v.size for v in found) >= k:
+            diag = rows == cols
+            shape = (n, rows.tobytes(), cols.tobytes(), vals[~diag].tobytes())
+            diagonal = vals[diag].real
+            if any(np.all(diagonal >= floor) for floor in floors.get(shape, ())):
+                skipped += len(copies[key])
+                continue
             block = SparseHermitian(n, rows, cols, vals)
             tau = np.partition(np.concatenate(found), k - 1)[k - 1] + CLUSTER_TOL * scale
             if _levels_below(block.to_csr(), tau, scale) == 0:
+                floors.setdefault(shape, []).append(diagonal)
                 skipped += len(copies[key])
                 continue
         solved[key] = _solve_block(n, rows, cols, vals, min(k, n), seed, block)

@@ -250,9 +250,10 @@ def check_block_spectrum_oracle(seed=7):
     """The block-wise solve against the whole-matrix dense oracle: levels,
     ground manifold and ground-cluster projector.  Above the dense cap,
     against solving every copy on its own: a program whose blocks come in
-    identical copies, which are solved once, and a pinned one whose blocks
-    are skipped when the inertia test shows them above the k lowest; and two
-    1024-blocks asked for more values than Lanczos takes, against the chain."""
+    identical copies, which are solved once, and pinned ones whose blocks
+    are skipped when the inertia test shows them above the k lowest or when
+    they dominate a block so skipped; and two 1024-blocks asked for more
+    values than Lanczos takes, against the chain."""
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases = [  # (program, k); dimensions 1000, 1024 and 400, each with several blocks
@@ -280,15 +281,17 @@ def check_block_spectrum_oracle(seed=7):
         worst_projector = max(worst_projector,
                               float(np.max(np.abs(v @ v.conj().T - w @ w.conj().T))))
     # dimension 5832, 16 blocks each: the M=3, N=8 gap-scan row, 8 copies each
-    # of a 549- and a 180-dimensional block; and the tipped, pinned M=3, N=8
-    # CID chain, whose eight 538-dimensional blocks all differ, so the
-    # inertia test skips some
-    chain = pin_all(Program(num_qubits=3, num_steps=8, gates=[gate_cid(7, 0, 1),
-                                                               gate_cid(8, 1, 2)],
-                            tip_beta=choose_beta(3, 8)), "000")
+    # of a 549- and a 180-dimensional block; and the pinned M=3, N=8 CID
+    # chain, whose eight 538-dimensional blocks all differ, so the inertia
+    # test skips some.  Untipped, they differ only in their pin penalties,
+    # so four of them dominate one that test skipped and are not factored;
+    # tipped, they differ off the diagonal too
+    chains = [pin_all(Program(num_qubits=3, num_steps=8, tip_beta=beta,
+                              gates=[gate_cid(7, 0, 1), gate_cid(8, 1, 2)]), "000")
+              for beta in (None, choose_beta(3, 8))]
     solves = []
     for prog, k in ((Program(num_qubits=3, num_steps=8, gates=[gate_cnot(4, 0, 1)]), 9),
-                    (chain, 2)):
+                    *((chain, 2) for chain in chains)):
         _, H = ham.assemble(prog)
         got, want = solve_spectrum(H, k=k, seed=seed), _solve_every_copy(H, k, seed)
         if got.ground_manifold_dim != want.ground_manifold_dim:

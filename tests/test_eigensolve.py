@@ -481,7 +481,8 @@ def test_levels_below_declines_a_zero_leading_pivot():
 
 
 def pinned_large_programs():
-    """The benchmark's pinned programs above the dense cutoff, dimensions 10648 to 39304."""
+    """The benchmark's pinned programs above the dense cutoff, dimensions 10648 to 39304,
+    each with the most LU factorizations its solve at k=2 may take."""
     def cid_chain(M, N, beta=None):
         gates = [gate_cid(N - (M - 2 - k), k, k + 1) for k in range(M - 1)]
         return pin_all(Program(num_qubits=M, num_steps=N, gates=gates, tip_beta=beta), "0" * M)
@@ -492,18 +493,35 @@ def pinned_large_programs():
 
     chain = pin_all(Program(num_qubits=4, num_steps=6, gates=[
         gate_cnot(2, 0, 1), gate_cnot(3, 1, 2), gate_cnot(4, 2, 3)]), "1000")
-    return [pytest.param(cid_chain(3, 16), id="cid-chain-m3-n16"),
-            pytest.param(chain, id="cnot-chain-m4-n6"),
-            pytest.param(cnot_line(60), id="cnot-m2-n60"),
-            pytest.param(cid_chain(3, 8, float(choose_beta(3, 8))), id="cid-chain-m3-n8-tipped"),
-            pytest.param(cnot_line(60, float(choose_beta(2, 60))), id="cnot-m2-n60-tipped")]
+    return [pytest.param(cid_chain(3, 16), 6, id="cid-chain-m3-n16"),
+            pytest.param(chain, 11, id="cnot-chain-m4-n6"),
+            pytest.param(cnot_line(60), 5, id="cnot-m2-n60"),
+            pytest.param(cid_chain(3, 8, float(choose_beta(3, 8))), 6,
+                         id="cid-chain-m3-n8-tipped"),
+            pytest.param(cnot_line(60, float(choose_beta(2, 60))), 5, id="cnot-m2-n60-tipped")]
 
 
-@pytest.mark.parametrize("prog", pinned_large_programs())
-def test_skipping_blocks_matches_solving_every_block(prog, monkeypatch):
+def counting_factorizations(monkeypatch):
+    calls = []
+    real = gsqc.eigensolve._shift_factor
+
+    def counted(csr, shift):
+        calls.append(csr.shape[0])
+        return real(csr, shift)
+
+    monkeypatch.setattr(gsqc.eigensolve, "_shift_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prog,factorizations", pinned_large_programs())
+def test_skipping_blocks_matches_solving_every_block(prog, factorizations, monkeypatch):
     _, H = assemble(prog)
     scale = gsqc.eigensolve._scale(H)
+    factored = counting_factorizations(monkeypatch)
     got = solve_spectrum(H, k=2)
+    # a block dominating one the inertia test skipped is skipped unfactored,
+    # and the penalty-free block, first in order, needs no inertia test
+    assert len(factored) <= factorizations
     monkeypatch.setattr(gsqc.eigensolve, "_levels_below", lambda *args: None)
     want = solve_spectrum(H, k=2)
     assert got.blocks_skipped > 0 and want.blocks_skipped == 0
@@ -512,6 +530,54 @@ def test_skipping_blocks_matches_solving_every_block(prog, monkeypatch):
     assert got.ground_manifold_dim == want.ground_manifold_dim == 1
     v, w = got.ground_vector(), want.ground_vector()
     assert np.linalg.norm(w - v * np.vdot(v, w)) < 1e-10
+
+
+def path_block(n, potential, hopping):
+    """A path's Laplacian plus a diagonal potential, as upper coordinates."""
+    degree = np.full(n, 2.0)
+    degree[[0, -1]] = 1.0
+    return (np.concatenate([np.arange(n), np.arange(n - 1)]),
+            np.concatenate([np.arange(n), np.arange(1, n)]),
+            np.concatenate([degree + potential, -hopping]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blocks_dominating_a_skipped_block_are_skipped_unfactored(dtype, monkeypatch):
+    # a 540-block G (lowest levels 0.8 and just above) is solved first; then
+    # 520-blocks sharing one hopping pattern: A (lowest level 0.9) is skipped
+    # by inertia, D1 and D2 dominate A's diagonal everywhere and are skipped
+    # unfactored; W's diagonal is larger in sum but has a well below A's, so
+    # its lowest level (about 0.76) is below G's: it must be solved
+    n, rng = 520, np.random.default_rng(5)
+    hopping = np.ones(n - 1)
+    if dtype is complex:
+        hopping = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n - 1))
+    a = np.full(n, 0.9)
+    well = np.ones(n)
+    well[n // 2] = 0.0
+    blocks = [path_block(540, np.full(540, 0.8), np.ones(539)),
+              path_block(n, a, hopping),
+              path_block(n, a + rng.uniform(0.0, 0.5, n), hopping),
+              path_block(n, a + np.where(rng.uniform(size=n) < 0.5, 0.0, 0.3), hopping),
+              path_block(n, well, hopping)]
+    assert np.sum(well) > np.sum(a) and well[n // 2] < a[n // 2]
+    dims = [540, n, n, n, n]
+    starts = np.cumsum([0] + dims)
+    H = SparseHermitian(starts[-1], np.concatenate([r + o for (r, _, _), o in zip(blocks, starts)]),
+                        np.concatenate([c + o for (_, c, _), o in zip(blocks, starts)]),
+                        np.concatenate([v for _, _, v in blocks]))
+    scale = gsqc.eigensolve._scale(H)
+    factored = counting_factorizations(monkeypatch)
+    got = solve_spectrum(H, k=2)
+    # G's solve, A's inertia test, W's inertia test and W's solve
+    assert sorted(factored) == [n, n, n, 540] and got.blocks_skipped == 3
+    # the oracle block by block: a complex eigvalsh of all of H takes seconds
+    want = np.sort(np.concatenate([dense_spectrum(SparseHermitian(d, *b), vectors=False).eigenvalues
+                                   for d, b in zip(dims, blocks)]))
+    assert np.max(np.abs(got.eigenvalues - want[:2])) <= 1e-10 * scale
+    assert got.ground_manifold_dim == np.count_nonzero(want <= want[0] + CLUSTER_TOL * scale) == 1
+    assert got.ground_energy < 0.8
+    assert np.count_nonzero(got.ground_vector()[:starts[4]]) == 0
 
 
 # -- closed forms ---------------------------------------------------------------
