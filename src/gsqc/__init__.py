@@ -27,7 +27,8 @@ from .program import (GateSpec, Pin, Program, gate_cid, gate_cnot, gate_single,
                       load_program, pin_all, program_from_dict, program_to_dict,
                       validate_program)
 from .semantics import (RowProjection, RunResult, random_program, reference_circuit,
-                        row_projection, run_program, step_unitary, verify_development)
+                        row_projection, run_program, solve_program, step_unitary,
+                        verify_development)
 from .sparse import SparseHermitian, TermSet
 
 __version__ = "0.1.0"

@@ -22,7 +22,12 @@ def upper_bound(program: Program) -> float:
 
     With two-body gates: min over gates of eps/(j (N - j + 1/beta^2)), the
     restricted-space first excited level (reduces to eps/(j(N-j+1)) untipped).
-    Gate-free programs return the exact single-qubit gap instead.
+    Gate-free programs return the single-qubit chain gap at beta: the exact
+    gap when no qubit is pinned, since the qubits' chains are independent.
+    A pin keeps the pinned column's chain, whose two lowest levels are 0 and
+    this value, and lifts the other column's chain from 0 to a level below
+    it, so pinned the value is an upper bound, not the gap: M=1, N=8 pinned
+    has gap 0.0273 against 0.1206.
     """
     validate_program(program)
     N, eps, beta = program.num_steps, program.epsilon, program.beta

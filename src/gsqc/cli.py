@@ -7,7 +7,9 @@ are byte-identical.  Config precedence: flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -19,7 +21,7 @@ from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError
 from .eigensolve import DEFAULT_SEED, solve_spectrum
 from .hamiltonian import assemble
 from .program import Pin, Program, gate_cid, gate_cnot, load_program
-from .semantics import run_program
+from .semantics import run_program, solve_program
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -207,16 +209,13 @@ def _gap_row(args, N: int):
             row["gates"] = f"{args.gate}@{j}:0>1"
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,
                           tip_beta=None if args.beta == 1.0 else args.beta)
-        _, H = assemble(program)
-        res = solve_spectrum(H, k=args.k, seed=args.seed)
+        res, _ = solve_program(program, args.k, args.seed, vectors=False)
         row.update(e0=res.ground_energy, gap=res.gap, upper=upper_bound(program),
                    alpha4=None if res.gap is None else res.gap * (N + 1) ** 4,
                    iterations=res.lu_solves)
     except Exception as exc:
-        # the CSV cell keeps only the class name, so a comma in the message
-        # cannot break the row
-        row["status"] = type(exc).__name__
-        print(f"N={N}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        row["status"] = f"{type(exc).__name__}: {exc}"
+        print(f"N={N}: {row['status']}", file=sys.stderr)
     row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
     return row
 
@@ -256,14 +255,16 @@ def cmd_gap_scan(args) -> int:
         payload = [{c: r[c] for c in columns} for r in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) for c in columns))
+        # through csv, so a failed row's message is quoted
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(r[c]) for c in columns] for r in rows)
         if len(ok_rows) >= 4 and all(r["gap"] for r in ok_rows):
             fit = scaling_fit([(r["N"], r["gap"]) for r in ok_rows])
-            lines.append(f"# scaling_fit exponent={fit.exponent:.6f} "
-                         f"constant={fit.constant:.6f} max_residual={fit.max_residual:.3e}")
-        text = "\n".join(lines) + "\n"
+            buffer.write(f"# scaling_fit exponent={fit.exponent:.6f} "
+                         f"constant={fit.constant:.6f} max_residual={fit.max_residual:.3e}\n")
+        text = buffer.getvalue()
     _emit(text, args.out)
     return EXIT_OK if ok_rows else EXIT_SOLVER
 

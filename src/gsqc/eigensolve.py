@@ -51,6 +51,8 @@ class SpectralResult:
     column per member.  ``lu_solves`` counts the shift-invert LU solves
     actually run: an identical copy of a solved block adds none, and neither
     does a skipped block; ``blocks_skipped`` counts those, copies included.
+    ``factors`` counts the Kronecker factors of a program solved one by one
+    (``semantics.solve_program``), 1 for a solve of the whole H.
     """
 
     eigenvalues: np.ndarray
@@ -59,6 +61,7 @@ class SpectralResult:
     gap: float | None
     lu_solves: int = 0
     blocks_skipped: int = 0
+    factors: int = 1
 
     @property
     def method(self) -> str:
@@ -249,8 +252,10 @@ def _solve_block(n: int, rows, cols, vals, m: int, seed: int,
 def _union(dim: int, k: int, scale: float, parts) -> SpectralResult:
     """The k lowest of the blocks' values, and the ground cluster's columns at
     their own block's indices; ``parts`` holds (indices, values, local vectors)
-    per block, in block order.  The one judge of the cluster: one filling all
-    k of fewer than dim values may continue above them, so it is an error."""
+    per block, in block order, or one (None, values, None) to judge values
+    alone, which gives no eigenvectors.  The one judge of the cluster: one
+    filling all k of fewer than dim values may continue above them, so it is
+    an error."""
     index, values, vectors = zip(*parts)
     owner = np.repeat(np.arange(len(values)), [v.size for v in values])
     column = np.concatenate([np.arange(v.size) for v in values])
@@ -260,6 +265,8 @@ def _union(dim: int, k: int, scale: float, parts) -> SpectralResult:
     if manifold == k < dim:
         raise TruncatedClusterError(f"lowest cluster fills all k={k} requested values and "
                                     f"may extend beyond them: pass a larger k")
+    if vectors[0] is None:
+        return SpectralResult(union[lowest], None, manifold, gap)
     ground = np.zeros((dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))
     for j, i in enumerate(lowest[:manifold]):
         ground[index[owner[i]], j] = vectors[owner[i]][:, column[i]]

@@ -4,10 +4,16 @@ The row-j projection gathers the amplitudes of configurations with every
 qubit on row j.  A conforming zero-energy state satisfies, for every j,
 block_j = (step_j ... step_1) block_0, where step_i is the 2^M unitary of
 row i.  A direct statevector simulator provides the right-hand side.
+
+``solve_program`` is the program-level solve behind ``run_program`` and
+``gap-scan``.  Qubits that no two-body gate links to the rest make an
+untipped H a Kronecker sum, A (x) I + I (x) B, whose levels are the sums
+a_i + b_j, so such a program is solved one small factor at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +21,7 @@ from .basis import ConfigurationBasis, enumerate_basis
 from .detection import build_report, DetectionReport
 from .errors import (ConsistencyError, IndeterminateInputError, ProgramError, SolverError,
                      TruncatedClusterError)
-from .eigensolve import DEFAULT_SEED, _scale, solve_spectrum
+from .eigensolve import DEFAULT_SEED, SpectralResult, _scale, _union, solve_spectrum
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
                       validate_program)
@@ -113,6 +119,95 @@ def verify_development(psi: np.ndarray, program: Program,
     return worst
 
 
+def qubit_groups(program: Program) -> list[list[int]]:
+    """The qubits the two-body gates link, one ascending list per group,
+    groups in the order of their lowest qubit: each gate merges its two
+    qubits' groups."""
+    label = list(range(program.num_qubits))
+    for g in program.gates:
+        if g.kind != "single":
+            old, new = label[g.control], label[g.target]
+            label = [new if x == old else x for x in label]
+    groups: dict[int, list[int]] = {}
+    for q, x in enumerate(label):
+        groups.setdefault(x, []).append(q)
+    return list(groups.values())
+
+
+def restrict(program: Program, qubits: list[int]) -> Program:
+    """The program on one group of ``qubit_groups`` alone, its qubits renumbered
+    0.. in ascending order: their gates, pins and readout (in the program's
+    readout order), with the same epsilon, tipping and strengths."""
+    new = {q: i for i, q in enumerate(qubits)}
+    gates = [replace(g, qubit=new.get(g.qubit), control=new.get(g.control),
+                     target=new.get(g.target))
+             for g in program.gates if g.qubits()[0] in new]
+    return replace(program, num_qubits=len(qubits), gates=gates,
+                   input_pins=[replace(p, qubit=new[p.qubit])
+                               for p in program.input_pins if p.qubit in new],
+                   readout=[new[q] for q in program.readout if q in new])
+
+
+def _kron_into_basis(columns, groups, program: Program) -> np.ndarray:
+    """The product of the factors' vectors, one per group, in the program's
+    basis order: qubit digits, then readout bits in readout order."""
+    M, sites = program.num_qubits, 2 * (program.num_steps + 1)
+    tensor, axes = np.ones(()), []
+    for column, group in zip(columns, groups):
+        slots = [M + s for s, q in enumerate(program.readout) if q in group]
+        tensor = np.multiply.outer(tensor, column.reshape([sites] * len(group)
+                                                          + [2] * len(slots)))
+        axes += group + slots
+    return np.transpose(tensor, np.argsort(axes)).ravel()
+
+
+def solve_program(program: Program, k: int, seed: int = DEFAULT_SEED,
+                  vectors: bool = True) -> tuple[SpectralResult, float]:
+    """The k lowest levels of the program's H, as ``solve_spectrum`` gives
+    them, and H's energy scale (its largest diagonal entry).
+
+    Untipped, a group of qubits that no two-body gate links to the rest
+    (``qubit_groups``) adds a Kronecker summand: H = A (x) I + I (x) B, whose
+    levels are exactly the sums a_i + b_j, so E0 is the sum of the factors'
+    ground levels, the ground cluster is the product of theirs, and the gap
+    is the smallest factor gap.  With two groups or more, each group's
+    program (``restrict``) is assembled and solved for its min(k, dim)
+    lowest levels, and the k lowest sums are judged by ``eigensolve._union``
+    with scale the sum of the factors' scales, which is H's: every diagonal
+    entry is nonnegative and the basis is a product.  With ``vectors`` the
+    ground cluster's columns are the products of the factors' columns; a
+    cluster member that needs a factor level outside that factor's own
+    cluster (possible only within CLUSTER_TOL of the scale) has none, so
+    then the whole H is solved.  Tipping scales the final-row operators of
+    several qubits at once, S H S with S = (x) s_q, which is no Kronecker
+    sum, so a tipped program, like a single group, is solved whole.
+    """
+    groups = qubit_groups(program)
+    if program.beta == 1.0 and len(groups) > 1:
+        Hs = [assemble(restrict(program, group))[1] for group in groups]
+        parts = [solve_spectrum(H, min(k, H.dim), seed) for H in Hs]
+        sums, combos = np.zeros(1), np.zeros((1, 0), dtype=np.int64)
+        for part in parts:  # the k lowest sums, and which factor levels make each
+            size = part.eigenvalues.size
+            total = (sums[:, None] + part.eigenvalues[None, :]).ravel()
+            keep = np.argsort(total, kind="stable")[:k]
+            sums, combos = total[keep], np.column_stack([combos[keep // size], keep % size])
+        scale = sum(_scale(H) for H in Hs)
+        result = _union(math.prod(H.dim for H in Hs), k, scale, [(None, sums, None)])
+        cluster = combos[:result.ground_manifold_dim]
+        if np.all(cluster < [part.ground_manifold_dim for part in parts]):
+            ground = None
+            if vectors:
+                ground = np.column_stack([_kron_into_basis(
+                    [part.eigenvectors[:, i] for part, i in zip(parts, member)], groups, program)
+                    for member in cluster])
+            return replace(result, eigenvectors=ground, factors=len(parts),
+                           lu_solves=sum(part.lu_solves for part in parts),
+                           blocks_skipped=sum(part.blocks_skipped for part in parts)), scale
+    _, H = assemble(program)
+    return solve_spectrum(H, k, seed), _scale(H)
+
+
 @dataclass
 class RunResult:
     """Solved program: logical output, diagnostics, detection report."""
@@ -139,7 +234,7 @@ class RunResult:
 
 
 def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
-    """Assemble, solve for the ground state, verify development, read output.
+    """Solve for the ground state (``solve_program``), verify development, read output.
 
     Requires every input pinned so the ground state is unique; a ground
     level that is degenerate all the same raises SolverError.
@@ -147,14 +242,13 @@ def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     validate_program(program)
     if program.pinned_qubits() != set(range(program.num_qubits)):
         raise ProgramError("run_program requires every qubit input pinned")
-    terms, H = assemble(program)
-    basis = terms.basis
     try:
-        result = solve_spectrum(H, k=2, seed=seed)
+        result, scale = solve_program(program, k=2, seed=seed)
     except TruncatedClusterError as exc:
         raise SolverError("the ground level is degenerate, so the pinned program's ground "
                           "state is not unique; with readout particles this means its "
                           "output does not factor") from exc
+    basis = enumerate_basis(program)
     psi = result.ground_vector()
     residual = verify_development(psi, program, basis)
     if residual > RUN_RESIDUAL_TOL:
@@ -171,7 +265,7 @@ def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     logical = logical / np.linalg.norm(logical)
     report = build_report(psi, basis, program)
     return RunResult(logical_state=logical, residual=residual,
-                     ground_energy=result.ground_energy, energy_scale=_scale(H),
+                     ground_energy=result.ground_energy, energy_scale=scale,
                      gap=result.gap, detection=report, ground_state=psi, basis=basis)
 
 

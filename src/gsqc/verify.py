@@ -19,8 +19,8 @@ from .detection import (attach_readout, choose_beta, cid_sync_check,
 from .eigensolve import (_blocks, _scale, _solve_block, _union, analytic_levels, char_det,
                          dense_spectrum, solve_spectrum, solve_tipped_levels)
 from .program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
-from .semantics import (_random_unitary, random_program, reference_circuit,
-                        run_program)
+from .semantics import (_random_unitary, qubit_groups, random_program, reference_circuit,
+                        run_program, solve_program)
 
 
 @dataclass
@@ -280,8 +280,9 @@ def check_block_spectrum_oracle(seed=7):
         v, w = got.eigenvectors, want.eigenvectors[:, :want.ground_manifold_dim]
         worst_projector = max(worst_projector,
                               float(np.max(np.abs(v @ v.conj().T - w @ w.conj().T))))
-    # dimension 5832, 16 blocks each: the M=3, N=8 gap-scan row, 8 copies each
-    # of a 549- and a 180-dimensional block; and the pinned M=3, N=8 CID
+    # dimension 5832, 16 blocks each: the whole H of the M=3, N=8 gap-scan
+    # row, 8 copies each of a 549- and a 180-dimensional block (gap-scan
+    # itself solves its two factors); and the pinned M=3, N=8 CID
     # chain, whose eight 538-dimensional blocks all differ, so the inertia
     # test skips some.  Untipped, they differ only in their pin penalties,
     # so four of them dominate one that test skipped and are not factored;
@@ -314,6 +315,48 @@ def check_block_spectrum_oracle(seed=7):
                                           + ", ".join(solves))
 
 
+def check_kronecker_factors(seed=7):
+    """solve_program's factor-by-factor solve of untipped programs whose
+    qubits fall into several groups, against the whole H solved by
+    solve_spectrum: levels, ground manifold, gap and ground-cluster span.
+    The unpinned M=3 CNOT gap-scan row; a pinned one with a complex gate on
+    its free qubit; a readout program whose readout qubits lie in different
+    groups, one of them a group of its own; and detect's gate-free M=4 row."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = _random_unitary(np.random.default_rng(seed))
+    cases = [  # (program, k); dimensions 2744, 1000, 2048 and 10000
+        (Program(num_qubits=3, num_steps=6, gates=[gate_cnot(3, 0, 1)]), 9),
+        (pin_all(Program(num_qubits=3, num_steps=4,
+                         gates=[gate_cnot(2, 0, 1), gate_single(3, 2, u)]), "101"), 2),
+        (attach_readout(pin_all(Program(num_qubits=3, num_steps=3,
+                                        gates=[gate_cnot(2, 0, 1), gate_single(1, 2, x)]),
+                                "100"), [2, 0]), 2),
+        (pin_all(Program(num_qubits=4, num_steps=4), "0000"), 2),
+    ]
+    worst_level = worst_gap = worst_span = 0.0
+    details = []
+    for prog, k in cases:
+        got, scale = solve_program(prog, k, seed)
+        _, H = ham.assemble(prog)
+        want = solve_spectrum(H, k=k, seed=seed)
+        groups = len(qubit_groups(prog))
+        if got.factors != groups or got.ground_manifold_dim != want.ground_manifold_dim:
+            details.append(f"dim {H.dim}: {got.factors} factors of {groups} groups, manifold "
+                           f"{got.ground_manifold_dim} != {want.ground_manifold_dim}")
+            continue
+        worst_level = max(worst_level, float(np.max(np.abs(got.eigenvalues - want.eigenvalues)))
+                          / scale)
+        worst_gap = max(worst_gap, abs(got.gap - want.gap) / want.gap)
+        # the part of each whole-H ground column outside the factored span
+        v, w = got.eigenvectors, want.eigenvectors
+        worst_span = max(worst_span,
+                         float(np.max(np.linalg.norm(w - v @ (v.conj().T @ w), axis=0))))
+    passed = not details and worst_level < 1e-10 and worst_gap < 1e-10 and worst_span < 1e-5
+    return passed, "; ".join(details) or (f"max level deviation {worst_level:.2e} of the "
+                                          f"scale, gap {worst_gap:.2e} relative, ground "
+                                          f"span {worst_span:.2e}")
+
+
 ALL_CHECKS = [
     ("single-qubit-spectrum", check_single_qubit_spectrum),
     ("char-det-vs-dense", check_char_det_vs_dense),
@@ -328,6 +371,7 @@ ALL_CHECKS = [
     ("cid-synchronization", check_cid_synchronization),
     ("variational-upper-bound", check_variational_upper_bound),
     ("block-spectrum-oracle", check_block_spectrum_oracle),
+    ("kronecker-factors", check_kronecker_factors),
 ]
 
 

@@ -6,7 +6,7 @@ from gsqc.bounds import (chain_gap, check_bounds, scaling_fit, tipped_upper_scal
 from gsqc.eigensolve import analytic_levels, dense_spectrum
 from gsqc.errors import BoundViolationError
 from gsqc.hamiltonian import assemble
-from gsqc.program import Program, gate_cid, gate_cnot
+from gsqc.program import Pin, Program, gate_cid, gate_cnot
 
 
 def measured_gap(prog):
@@ -29,6 +29,16 @@ def test_upper_bound_gate_free_is_exact_chain_gap():
     prog = Program(num_qubits=1, num_steps=5)
     assert upper_bound(prog) == pytest.approx(chain_gap(5))
     assert measured_gap(prog) == pytest.approx(chain_gap(5), abs=1e-10)
+
+
+@pytest.mark.parametrize("beta", [None, 0.5])
+def test_upper_bound_gate_free_pinned_is_a_bound_not_the_gap(beta):
+    # the pin lifts the other column's chain only to below the chain gap
+    prog = Program(num_qubits=1, num_steps=8, input_pins=[Pin(0, 0)], tip_beta=beta)
+    assert measured_gap(prog) < 0.25 * upper_bound(prog)
+    if beta is None:
+        assert measured_gap(prog) == pytest.approx(0.0273, abs=1e-4)
+        assert upper_bound(prog) == pytest.approx(0.1206, abs=1e-4)
 
 
 def test_measured_gap_below_bound():

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -189,20 +190,42 @@ def test_gap_scan_rows_respect_bound(tmp_path):
 
 
 def test_gap_scan_failed_row_message_on_stderr(monkeypatch, capsys):
-    real = gsqc.cli.solve_spectrum
+    argv = ["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "4"]
+    assert main(argv) == 0
+    unpatched = capsys.readouterr().out.splitlines()
+    real = gsqc.cli.solve_program
+    message = 'ARPACK stalled, residual 1e-3, 7 restarts, "quoted"'
 
-    def stalls_at_n3(H, **kwargs):
-        if H.dim == 8:  # M=1, N=3
-            raise ConvergenceError("ARPACK stalled, residual 1e-3, 7 restarts")
-        return real(H, **kwargs)
+    def stalls_at_n3(program, *args, **kwargs):
+        if program.num_steps == 3:
+            raise ConvergenceError(message)
+        return real(program, *args, **kwargs)
 
-    monkeypatch.setattr(gsqc.cli, "solve_spectrum", stalls_at_n3)
-    assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "4"]) == 0
+    monkeypatch.setattr(gsqc.cli, "solve_program", stalls_at_n3)
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    assert "N=3: ConvergenceError: ARPACK stalled, residual 1e-3, 7 restarts" in captured.err
-    header, row2, row3, row4 = captured.out.strip().split("\n")
-    assert row3.split(",")[-1] == "ConvergenceError"
-    assert row3.count(",") == header.count(",")
+    assert f"N=3: ConvergenceError: {message}" in captured.err
+    header, row2, row3, row4 = captured.out.splitlines()
+    # the ok rows are written as before; the failed one keeps its message
+    assert [header, row2, row4] == [unpatched[i] for i in (0, 1, 3)]
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [r["status"] for r in rows] == ["ok", f"ConvergenceError: {message}", "ok"]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[1]["status"] == f"ConvergenceError: {message}"
+
+
+def test_gap_scan_free_qubits_keep_the_two_qubit_gap(capsys):
+    # qubits 2 and 3 share no gate: each M=4 row is solved factor by factor
+    rows = {}
+    for m in ("2", "4"):
+        assert main(["gap-scan", "--m", m, "--gate", "cnot", "--n-min", "2", "--n-max", "6",
+                     "--format", "json"]) == 0
+        rows[m] = json.loads(capsys.readouterr().out)
+    assert len(rows["4"]) == 5
+    for two, four in zip(rows["2"], rows["4"]):
+        assert four["status"] == "ok" and four["upper"] == two["upper"]
+        assert four["gap"] == pytest.approx(two["gap"], rel=1e-10)
 
 
 def test_gap_scan_empty_range_exit_2(capsys):
@@ -291,7 +314,7 @@ def test_gap_scan_bad_sweep_option_exit_2_before_any_row(monkeypatch, capsys, ar
     def no_row(*args, **kwargs):
         raise AssertionError("a row ran")
 
-    monkeypatch.setattr(gsqc.cli, "assemble", no_row)
+    monkeypatch.setattr(gsqc.cli, "solve_program", no_row)
     base = {"--m": "2", "--gate": "cnot", "--n-min": "2", "--n-max": "3"}
     base.update(zip(argv[::2], argv[1::2]))
     assert main(["gap-scan", *[t for kv in base.items() for t in kv]]) == 2
@@ -302,8 +325,8 @@ def test_gap_scan_bad_sweep_option_exit_2_before_any_row(monkeypatch, capsys, ar
 def test_gap_scan_gate_row_beyond_n_fails_only_that_row(capsys):
     assert main(["gap-scan", "--m", "2", "--gate", "cnot", "--j", "3",
                  "--n-min", "2", "--n-max", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["ProgramError", "ok"]
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["status"] for r in rows] == ["ProgramError: gate row 3 outside 1..2", "ok"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,12 +444,18 @@ def test_verify_passes(capsys):
 
 
 def test_verify_block_spectrum_oracle_and_seconds(capsys):
-    assert len(gsqc.verify.ALL_CHECKS) == 13
+    assert len(gsqc.verify.ALL_CHECKS) == 14
     assert main(["verify", "--checks", "block-spectrum-oracle"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     name, mark, seconds, unit = line.split()[:4]
     assert (name, mark, unit) == ("block-spectrum-oracle", "PASS", "s")
     assert float(seconds) >= 0.0
+
+
+def test_verify_kronecker_factors(capsys):
+    assert main(["verify", "--checks", "kronecker-factors"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.split()[:2] == ["kronecker-factors", "PASS"]
 
 
 def test_verify_names_broken_check(monkeypatch, capsys):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gsqc.semantics
 from gsqc.basis import enumerate_basis
-from gsqc.eigensolve import dense_spectrum, solve_spectrum
-from gsqc.errors import ConsistencyError, IndeterminateInputError, ProgramError
+from gsqc.detection import attach_readout
+from gsqc.eigensolve import CLUSTER_TOL, _scale, dense_spectrum, solve_spectrum
+from gsqc.errors import (ConsistencyError, IndeterminateInputError, ProgramError,
+                         TruncatedClusterError)
 from gsqc.hamiltonian import assemble
 from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
-from gsqc.semantics import (random_program, reference_circuit, row_projection,
+from gsqc.semantics import (qubit_groups, random_program, reference_circuit, restrict,
+                            row_projection, solve_program,
                             run_program, step_unitary, verify_development)
 
 NOT = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -193,3 +197,114 @@ def test_random_program_generator_validity():
         kinds |= {g.kind for g in prog.gates}
         assert prog.num_qubits <= 3 and prog.num_steps <= 8
     assert "cnot" not in kinds
+
+
+# -- factor-by-factor solve of untipped programs -----------------------------------
+
+
+def test_qubit_groups_and_restrict():
+    prog = Program(num_qubits=4, num_steps=3, gates=[gate_cnot(1, 3, 1), gate_single(2, 2, NOT)],
+                   input_pins=[Pin(2, 1, 0.5), Pin(3, 0)], readout=[2, 3, 0],
+                   readout_strength=2.0)
+    assert qubit_groups(prog) == [[0], [1, 3], [2]]
+    pair = restrict(prog, [1, 3])
+    assert pair.num_qubits == 2 and pair.readout == [1]
+    assert [(g.kind, g.control, g.target) for g in pair.gates] == [("cnot", 1, 0)]
+    assert [(p.qubit, p.bit) for p in pair.input_pins] == [(1, 0)]
+    free = restrict(prog, [2])
+    assert [(g.kind, g.qubit) for g in free.gates] == [("single", 0)]
+    assert [(p.qubit, p.bit, p.strength) for p in free.input_pins] == [(0, 1, 0.5)]
+    assert free.readout == [0] and free.readout_strength == 2.0
+
+
+def _solved(solve):
+    try:
+        return solve()
+    except TruncatedClusterError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pool=st.sampled_from(["orthogonal", "unitary"]),
+       kind=st.sampled_from(["cnot", "cid"]), pin=st.booleans(), readout=st.booleans())
+def test_factored_solve_matches_whole(seed, pool, kind, pin, readout):
+    rng = np.random.default_rng(seed)
+    prog = random_program(rng, max_qubits=3, max_steps=4, max_two_body=1, gate_pool=pool,
+                          two_body_kind=kind, pin=pin)
+    while len(qubit_groups(prog)) < 2:  # M=1, or M=2 with its gate
+        prog = random_program(rng, max_qubits=3, max_steps=4, max_two_body=1, gate_pool=pool,
+                              two_body_kind=kind, pin=pin)
+    M = prog.num_qubits
+    if readout:  # one or two readout qubits, in a random order
+        prog = attach_readout(prog, [int(q) for q in rng.permutation(M)[:rng.integers(1, 3)]])
+    k = 2 ** M + 1
+    got = _solved(lambda: solve_program(prog, k))
+    _, H = assemble(prog)
+    want = _solved(lambda: solve_spectrum(H, k))
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    got, scale = got
+    assert got.factors == len(qubit_groups(prog))
+    assert scale == pytest.approx(_scale(H), rel=1e-12)
+    assert got.ground_manifold_dim == want.ground_manifold_dim
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-10 * scale
+    assert (got.gap is None) == (want.gap is None)
+    if want.gap is not None:
+        assert got.gap == pytest.approx(want.gap, rel=1e-10)
+    # 1 - fidelity of each whole-H ground column with the factored cluster
+    v, w = got.eigenvectors, want.eigenvectors
+    assert np.max(1.0 - np.linalg.norm(v.conj().T @ w, axis=0) ** 2) <= 1e-10
+
+
+def test_tipped_and_single_group_programs_assemble_the_whole_program_once(monkeypatch):
+    calls = []
+    real = gsqc.semantics.assemble
+
+    def counted(program):
+        calls.append(program)
+        return real(program)
+
+    monkeypatch.setattr(gsqc.semantics, "assemble", counted)
+    for prog in (Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1)], tip_beta=0.5),
+                 Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1),
+                                                           gate_cid(3, 2, 1)]),
+                 Program(num_qubits=1, num_steps=4, input_pins=[Pin(0, 1)])):
+        calls.clear()
+        result, _ = solve_program(prog, k=9)
+        assert len(calls) == 1 and calls[0] is prog and result.factors == 1
+    calls.clear()
+    result, _ = solve_program(Program(num_qubits=3, num_steps=4, gates=[gate_cnot(2, 0, 1)]), k=9)
+    assert len(calls) == 2 and result.factors == 2
+
+
+def test_factor_level_outside_its_own_cluster_solves_the_whole_program(monkeypatch):
+    # qubit 1's weak pin lifts its other column only to ~3e-8: outside its own
+    # cluster (1e-8 times its scale 2), inside the program's (times 2 + 2)
+    prog = Program(num_qubits=2, num_steps=2, input_pins=[Pin(1, 0, 9e-8)])
+    pinned = solve_spectrum(assemble(restrict(prog, [1]))[1], k=5)
+    assert pinned.ground_manifold_dim == 1
+    assert 2 * CLUSTER_TOL < pinned.gap <= 4 * CLUSTER_TOL
+    calls = []
+    real = gsqc.semantics.assemble
+    monkeypatch.setattr(gsqc.semantics, "assemble",
+                        lambda program: calls.append(program) or real(program))
+    got, scale = solve_program(prog, k=5)
+    assert got.factors == 1 and calls[-1] is prog and len(calls) == 3
+    want = solve_spectrum(real(prog)[1], k=5)
+    assert got.ground_manifold_dim == want.ground_manifold_dim == 4
+    assert np.array_equal(got.eigenvalues, want.eigenvalues) and scale == 4.0
+
+
+def test_run_program_factored_matches_whole_solve():
+    # a pinned readout program whose free qubit, read out too, is its own group
+    prog = attach_readout(pin_all(Program(num_qubits=3, num_steps=3,
+                                          gates=[gate_cnot(2, 1, 0), gate_single(1, 2, NOT)]),
+                                  "010"), [2, 1])
+    res = run_program(prog)
+    _, H = assemble(prog)
+    whole = solve_spectrum(H, k=2)
+    assert abs(np.vdot(whole.ground_vector(), res.ground_state)) ** 2 >= 1 - 1e-10
+    assert res.gap == pytest.approx(whole.gap, rel=1e-10)
+    assert res.energy_scale == pytest.approx(_scale(H), rel=1e-12)
+    assert res.output_fidelity(reference_circuit(prog, "010")) >= 1 - 1e-10
