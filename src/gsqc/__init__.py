@@ -21,8 +21,8 @@ from .errors import (BasisSizeError, BoundViolationError, ConsistencyError,
                      ConvergenceError, GsqcError, IndeterminateInputError,
                      NonFactoringOutputError, ProgramError, SolverError,
                      TruncatedClusterError)
-from .hamiltonian import (apply_tipping, assemble, cid_term, cnot_term, pin_term,
-                          readout_term, single_step_term)
+from .hamiltonian import (assemble, cid_term, cnot_term, pin_term, readout_term,
+                          single_step_term)
 from .program import (GateSpec, Pin, Program, gate_cid, gate_cnot, gate_single,
                       load_program, pin_all, program_from_dict, program_to_dict,
                       validate_program)

@@ -81,24 +81,19 @@ class GapBounds:
         return 0.0 <= self.gap <= self.upper * (1.0 + 1e-12) + 1e-12
 
 
-def check_bounds(program: Program, gap: float, alpha_floor: float | None = None) -> GapBounds:
+def check_bounds(program: Program, gap: float) -> GapBounds:
     """Assert gap <= variational upper bound; record the empirical alpha constant.
 
     A violated upper bound signals a broken gate-term construction and raises
-    BoundViolationError.  alpha_floor, when given (golden family minimum),
-    must also be respected.
+    BoundViolationError.
     """
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap!r}")
     ub = upper_bound(program)
     N = program.num_steps
-    alpha = gap * (N + 1) ** 4
-    bounds = GapBounds(gap=gap, upper=ub, alpha_empirical=alpha)
+    bounds = GapBounds(gap=gap, upper=ub, alpha_empirical=gap * (N + 1) ** 4)
     if not bounds.satisfied():
         raise BoundViolationError(
             f"measured gap {gap:.6e} exceeds variational upper bound {ub:.6e} "
             f"(N={N}, gates={[(g.kind, g.row) for g in program.gates if g.kind != 'single']})")
-    if alpha_floor is not None and alpha < alpha_floor:
-        raise BoundViolationError(
-            f"empirical alpha {alpha:.6e} below recorded family floor {alpha_floor:.6e}")
     return bounds

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .bounds import scaling_fit, upper_bound
+from .bounds import check_bounds, scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
 from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError,
                      ProgramError, SolverError)
@@ -210,9 +210,12 @@ def _gap_row(args, N: int):
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,
                           tip_beta=None if args.beta == 1.0 else args.beta)
         res, _ = solve_program(program, args.k, args.seed, vectors=False)
-        row.update(e0=res.ground_energy, gap=res.gap, upper=upper_bound(program),
-                   alpha4=None if res.gap is None else res.gap * (N + 1) ** 4,
-                   iterations=res.lu_solves)
+        row.update(e0=res.ground_energy, gap=res.gap, iterations=res.lu_solves)
+        if res.gap is None:
+            row["upper"] = upper_bound(program)
+        else:  # a violated bound fails the row
+            bounds = check_bounds(program, res.gap)
+            row.update(upper=bounds.upper, alpha4=bounds.alpha_empirical)
     except Exception as exc:
         row["status"] = f"{type(exc).__name__}: {exc}"
         print(f"N={N}: {row['status']}", file=sys.stderr)

@@ -112,7 +112,6 @@ def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: flo
 @dataclass
 class CidSyncResult:
     conditional: float          # P(every qubit past its last gate row | last qubit at N)
-    p_all_final: float          # strict all-at-row-N probability
     sync_rows: tuple[int, ...]  # per qubit: its last two-body gate row (N if none)
 
 
@@ -145,9 +144,7 @@ def cid_sync_check(psi, basis: ConfigurationBasis, program: Program) -> CidSyncR
     p_sync = float(weights[sync_mask].sum())
     if p_last <= 0.0:
         raise ValueError("last qubit has zero final-row probability")
-    return CidSyncResult(conditional=p_sync / p_last,
-                         p_all_final=detection_probability(psi, basis),
-                         sync_rows=sync_rows)
+    return CidSyncResult(conditional=p_sync / p_last, sync_rows=sync_rows)
 
 
 @dataclass

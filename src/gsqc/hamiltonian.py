@@ -4,6 +4,9 @@ Every term is positive semi-definite by construction.  The building block is
 the bond operator eps*[n_{j-1} + n_j - (C^dag_j U C_{j-1} + h.c.)] tying two
 adjacent rows of one qubit chain through a 2x2 unitary U; two-body gates
 condition such bonds on the partner qubit and add a synchronization penalty.
+A term is its raw (rows, cols, vals) coordinates, every entry in the upper
+triangle; ``SparseHermitian(basis.dim, *term)`` is its operator, and
+``assemble`` canonicalizes the program's whole sum once.
 """
 from __future__ import annotations
 
@@ -26,11 +29,9 @@ def _diagonal(idx: np.ndarray, value, dtype=np.float64):
     return idx, idx, np.full(idx.size, value, dtype=dtype)
 
 
-def _term(basis: ConfigurationBasis, pieces) -> SparseHermitian:
-    """One term from its (rows, cols, vals) coordinate pieces, in piece order."""
-    rows, cols, vals = zip(*pieces)
-    return SparseHermitian(basis.dim, np.concatenate(rows), np.concatenate(cols),
-                           np.concatenate(vals))
+def _term(pieces) -> tuple:
+    """One term's (rows, cols, vals) coordinates: its pieces, in piece order."""
+    return tuple(map(np.concatenate, zip(*pieces)))
 
 
 def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray,
@@ -42,7 +43,9 @@ def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray
     # density part: +eps on rows row-1 and row
     pieces = [_diagonal(basis.indices_where({**condition, qubit: [lo, lo + 1, hi, hi + 1]}),
                         eps, U.dtype if np.iscomplexobj(U) else np.float64)]
-    # hopping part: <to| H |from> = -eps * U[sigma, sigma']
+    # hopping part: <to| H |from> = -eps * U[sigma, sigma'], stored as its
+    # upper-triangle mirror <from| H |to> (to > from), conjugated in U's own
+    # dtype so a real entry never carries a signed zero into a complex sum
     stride = basis.qubit_stride(qubit)
     for s_from in range(2):
         src = basis.indices_where({**condition, qubit: lo + s_from})
@@ -51,12 +54,12 @@ def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray
             if amp == 0:
                 continue
             dst = src + (hi + s_to - (lo + s_from)) * stride
-            pieces.append((dst, src, np.full(src.size, -eps * amp)))
+            pieces.append((src, dst, np.full(src.size, np.conj(-eps * amp))))
     return pieces
 
 
 def single_step_term(basis: ConfigurationBasis, qubit: int, row: int, matrix,
-                     eps: float = 1.0) -> SparseHermitian:
+                     eps: float = 1.0) -> tuple:
     """One-qubit development term for the step row-1 -> row through ``matrix``.
 
     Annihilates states whose row-(row-1) and row-row amplitude pairs are
@@ -65,11 +68,11 @@ def single_step_term(basis: ConfigurationBasis, qubit: int, row: int, matrix,
     if not (1 <= row <= basis.num_steps):
         raise ValueError(f"row {row} outside 1..{basis.num_steps}")
     U = check_unitary(matrix)
-    return _term(basis, _bond_entries(basis, qubit, row, U, eps))
+    return _term(_bond_entries(basis, qubit, row, U, eps))
 
 
 def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: int,
-                   eps: float, branch_unitaries) -> SparseHermitian:
+                   eps: float, branch_unitaries) -> tuple:
     """Shared CNOT/CID structure.
 
     Three positive semi-definite pieces:
@@ -94,17 +97,17 @@ def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: in
     # penalty: target at the gate row while the control is still at row-1
     pieces.append(_diagonal(basis.indices_where({control: [lo, lo + 1], target: [hi, hi + 1]}),
                             eps))
-    return _term(basis, pieces)
+    return _term(pieces)
 
 
 def cnot_term(basis: ConfigurationBasis, control: int, target: int, row: int,
-              eps: float = 1.0) -> SparseHermitian:
+              eps: float = 1.0) -> tuple:
     """Two-body controlled-NOT term at the given row."""
     return _two_body_term(basis, control, target, row, eps, _BRANCH_UNITARIES["cnot"])
 
 
 def cid_term(basis: ConfigurationBasis, control: int, target: int, row: int,
-             eps: float = 1.0) -> SparseHermitian:
+             eps: float = 1.0) -> tuple:
     """Controlled-identity term: synchronization only, both branches identity."""
     return _two_body_term(basis, control, target, row, eps, _BRANCH_UNITARIES["cid"])
 
@@ -125,7 +128,7 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
     annihilate every development state and vanish entirely for programs with
     at most one gate per qubit.
 
-    Yields (label, SparseHermitian) pairs.
+    Yields (label, coordinates) pairs.
     """
     two_body = sorted([g for g in gates if g.kind in ("cnot", "cid")], key=lambda g: g.row)
     N = basis.num_steps
@@ -155,13 +158,13 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
                 else:
                     pieces = _bond_entries(basis, q, jL, _IDENTITY, eps,
                                            condition={gE.control: below_E})
-                yield (f"sync[q{q},j{jE}->j{jL}]", _term(basis, pieces))
+                yield (f"sync[q{q},j{jE}->j{jL}]", _term(pieces))
                 # advanced later gate: re-enforce q's earlier bond
                 if q == gL.control:
                     at_or_above = _region_sites(basis, jL, N + 1)
                     pieces = _bond_entries(basis, q, jE, _IDENTITY, eps,
                                            condition={gL.target: at_or_above})
-                    yield (f"sync[q{q},j{jL}<-j{jE}]", _term(basis, pieces))
+                    yield (f"sync[q{q},j{jL}<-j{jE}]", _term(pieces))
         # widened control-bond: a retargeted qubit can wait strictly below
         # row j-1, leaving the local conditioning without support
         for g in two_body:
@@ -173,20 +176,20 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
             strict_below = _region_sites(basis, 0, g.row - 1)
             pieces = _bond_entries(basis, g.control, g.row, _IDENTITY, eps,
                                    condition={q: strict_below})
-            yield (f"sync[wide,q{g.control},j{g.row}]", _term(basis, pieces))
+            yield (f"sync[wide,q{g.control},j{g.row}]", _term(pieces))
 
 
-def pin_term(basis: ConfigurationBasis, qubit: int, bit: int, strength: float) -> SparseHermitian:
+def pin_term(basis: ConfigurationBasis, qubit: int, bit: int, strength: float) -> tuple:
     """Input pin: penalty on the complementary row-0 column of one qubit."""
     if strength <= 0:
         raise ValueError(f"pin strength must be > 0, got {strength!r}")
     if bit not in (0, 1):
         raise ValueError(f"pin bit must be 0 or 1, got {bit!r}")
     idx = basis.indices_where({qubit: 1 - bit})  # site 2*0 + (1-bit)
-    return _term(basis, [_diagonal(idx, strength)])
+    return _diagonal(idx, strength)
 
 
-def readout_term(basis: ConfigurationBasis, qubit: int, strength: float) -> SparseHermitian:
+def readout_term(basis: ConfigurationBasis, qubit: int, strength: float) -> tuple:
     """Density-density repulsion between a qubit's final row and its readout particle.
 
     V * sum_sigma n_{qubit, N, sigma} n_{readout(qubit), sigma}: in a zero-energy
@@ -197,30 +200,16 @@ def readout_term(basis: ConfigurationBasis, qubit: int, strength: float) -> Spar
     if qubit not in basis.readout:
         raise ValueError(f"qubit {qubit} has no readout particle in this basis")
     slot = basis.readout.index(qubit)
-    return _term(basis, [_diagonal(basis.indices_where({qubit: 2 * basis.num_steps + sigma},
+    return _term([_diagonal(basis.indices_where({qubit: 2 * basis.num_steps + sigma},
                                                         {slot: sigma}), strength)
                          for sigma in range(2)])
-
-
-def apply_tipping(terms: TermSet, beta: float) -> TermSet:
-    """Scale every final-row qubit operator in every term by beta.
-
-    Equivalent to the diagonal congruence H -> S H S with S = diag(beta^w),
-    w = number of qubits on row N in each configuration, so Hermiticity and
-    positive semi-definiteness are preserved and zero modes stay at zero.
-    The congruence is linear, so the copy only records beta (compounding
-    any earlier tipping) and ``total`` applies it once, to the sum.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-    return TermSet(terms.basis, list(terms.terms), terms.beta * beta)
 
 
 def assemble(program: Program) -> tuple[TermSet, SparseHermitian]:
     """Build the full Hamiltonian of a program.
 
-    Returns the labeled TermSet (untipped terms, the program's tipping
-    factor recorded) and the summed, tipped operator.  Rows without a gate
+    Returns the labeled TermSet (each term's untipped coordinates, the
+    program's tipping factor recorded) and the summed, tipped operator.  Rows without a gate
     get identity development bonds, so the sum always ties row 0 to row N
     on every qubit chain.
     """
@@ -242,8 +231,8 @@ def assemble(program: Program) -> tuple[TermSet, SparseHermitian]:
         if g.kind in two_body:
             terms.add(f"{g.kind}[j{g.row},c{g.control},t{g.target}]",
                       two_body[g.kind](basis, g.control, g.target, g.row, eps))
-    for label, op in chain_sync_terms(basis, program.gates, eps):
-        terms.add(label, op)
+    for label, term in chain_sync_terms(basis, program.gates, eps):
+        terms.add(label, term)
     for p in program.input_pins:
         strength = eps if p.strength is None else p.strength
         terms.add(f"pin[q{p.qubit}]", pin_term(basis, p.qubit, p.bit, strength))

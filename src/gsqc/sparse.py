@@ -102,18 +102,18 @@ class SparseHermitian:
 class TermSet:
     """Labeled Hamiltonian addends over one basis; their sum is the operator.
 
-    ``beta`` is the tipping factor: the operator is S (sum of terms) S with
-    S = diag(beta^w), w the number of qubits on the final row.
+    Each term is its raw (rows, cols, vals) coordinates, so ``total`` is the
+    one place they are canonicalized.  ``beta`` is the tipping factor: the
+    operator is S (sum of terms) S with S = diag(beta^w), w the number of
+    qubits on the final row.
     """
 
     basis: object
-    terms: list[tuple[str, SparseHermitian]] = field(default_factory=list)
+    terms: list[tuple[str, tuple]] = field(default_factory=list)
     beta: float = 1.0
 
-    def add(self, label: str, op: SparseHermitian) -> None:
-        if op.dim != self.basis.dim:
-            raise ValueError(f"term {label!r} has dim {op.dim}, basis has {self.basis.dim}")
-        self.terms.append((label, op))
+    def add(self, label: str, term: tuple) -> None:
+        self.terms.append((label, term))
 
     def total(self, drop_tol: float = 0.0) -> SparseHermitian:
         """Sum every term in one canonicalization, tip the sum, drop tiny entries.
@@ -123,7 +123,7 @@ class TermSet:
         """
         # the leading empty piece keeps a set without terms valid
         pieces = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
-        pieces += [(op.rows, op.cols, op.vals) for _, op in self.terms]
+        pieces += [term for _, term in self.terms]
         out = SparseHermitian(self.basis.dim, *map(np.concatenate, zip(*pieces)))
         if self.beta == 1.0 and drop_tol <= 0.0:
             return out

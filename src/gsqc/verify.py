@@ -21,6 +21,7 @@ from .eigensolve import (_blocks, _scale, _solve_block, _union, analytic_levels,
 from .program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from .semantics import (_random_unitary, qubit_groups, random_program, reference_circuit,
                         run_program, solve_program)
+from .sparse import SparseHermitian
 
 
 @dataclass
@@ -140,8 +141,8 @@ def check_gate_commutation(seed=7):
     worst = 0.0
     for M, N, g1, g2 in cases:
         basis = ConfigurationBasis(M, N)
-        h1 = builders[g1.kind](basis, g1.control, g1.target, g1.row).to_csr()
-        h2 = builders[g2.kind](basis, g2.control, g2.target, g2.row).to_csr()
+        h1, h2 = (SparseHermitian(basis.dim, *builders[g.kind](basis, g.control, g.target, g.row))
+                  .to_csr() for g in (g1, g2))
         comm = (h1 @ h2 - h2 @ h1).toarray()
         worst = max(worst, float(np.max(np.abs(comm))))
     return worst == 0.0, f"max commutator entry {worst:.2e}"

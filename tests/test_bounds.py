@@ -109,8 +109,6 @@ def test_check_bounds_raises_on_violation():
     prog = Program(num_qubits=2, num_steps=4, gates=[gate_cnot(2, 0, 1)])
     with pytest.raises(BoundViolationError, match="exceeds"):
         check_bounds(prog, gap=1.0)
-    with pytest.raises(BoundViolationError, match="floor"):
-        check_bounds(prog, gap=1e-9, alpha_floor=1e-3)
 
 
 def test_alpha_floor_positive_across_family():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gsqc.bounds
 import gsqc.cli
 import gsqc.eigensolve
 import gsqc.hamiltonian
@@ -18,7 +19,6 @@ import gsqc.semantics
 import gsqc.verify
 from gsqc.cli import main
 from gsqc.errors import ConvergenceError
-from gsqc.sparse import SparseHermitian
 
 NOT_PROGRAM = {
     "qubits": 1, "steps": 2,
@@ -213,6 +213,23 @@ def test_gap_scan_failed_row_message_on_stderr(monkeypatch, capsys):
     assert main(argv + ["--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[1]["status"] == f"ConvergenceError: {message}"
+
+
+def test_gap_scan_violated_bound_fails_only_that_row(monkeypatch, capsys):
+    # the row's upper and alpha4 come from check_bounds, which judges the gap
+    real = gsqc.bounds.upper_bound
+
+    def too_small_at_n3(program):
+        return 1e-9 if program.num_steps == 3 else real(program)
+
+    monkeypatch.setattr(gsqc.bounds, "upper_bound", too_small_at_n3)
+    assert main(["gap-scan", "--m", "2", "--gate", "cnot", "--n-min", "2", "--n-max", "4",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["status"].split(":")[0] for r in rows] == ["ok", "BoundViolationError", "ok"]
+    assert "exceeds variational upper bound" in rows[1]["status"]
+    assert rows[1]["gap"] > 0 and rows[1]["upper"] is None
+    assert rows[0]["alpha4"] == rows[0]["gap"] * 3 ** 4
 
 
 def test_gap_scan_free_qubits_keep_the_two_qubit_gap(capsys):
@@ -462,11 +479,10 @@ def test_verify_names_broken_check(monkeypatch, capsys):
     real = gsqc.hamiltonian.cnot_term
 
     def perturbed(basis, control, target, row, eps=1.0):
-        term = real(basis, control, target, row, eps)
+        rows, cols, vals = real(basis, control, target, row, eps)
         idx = basis.indices_where({control: 0})
-        return SparseHermitian(basis.dim, np.concatenate([term.rows, idx]),
-                               np.concatenate([term.cols, idx]),
-                               np.concatenate([term.vals, np.full(idx.size, 0.05 * eps)]))
+        return (np.concatenate([rows, idx]), np.concatenate([cols, idx]),
+                np.concatenate([vals, np.full(idx.size, 0.05 * eps)]))
 
     monkeypatch.setattr(gsqc.hamiltonian, "cnot_term", perturbed)
     assert main(["verify", "--checks", "cnot-spectrum-oracle"]) == 1

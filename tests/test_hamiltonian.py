@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from gsqc.basis import ConfigurationBasis, enumerate_basis
 from gsqc.eigensolve import dense_spectrum
-from gsqc.hamiltonian import (ENTRY_DROP_REL, apply_tipping, assemble, cid_term, cnot_term,
-                              pin_term, readout_term, single_step_term)
+from gsqc.errors import ProgramError
+from gsqc.hamiltonian import (ENTRY_DROP_REL, assemble, cid_term, cnot_term, pin_term,
+                              readout_term, single_step_term)
 from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single
 from gsqc.semantics import random_program
+from gsqc.sparse import SparseHermitian
 from gsqc.verify import gate_oracle_levels, restricted_gate_spectrum
 
 I2 = np.eye(2)
@@ -27,7 +29,7 @@ def dense_eigs(H):
 
 def test_single_step_identity_spectrum():
     basis = ConfigurationBasis(1, 1)
-    h = single_step_term(basis, 0, 1, I2, eps=1.0)
+    h = SparseHermitian(basis.dim, *single_step_term(basis, 0, 1, I2, eps=1.0))
     assert np.allclose(dense_eigs(h), [0.0, 0.0, 2.0, 2.0], atol=1e-12)
 
 
@@ -42,8 +44,8 @@ def test_uniform_state_is_zero_mode():
 
 def test_not_gate_spectrum_equals_identity():
     basis = ConfigurationBasis(1, 3)
-    h_i = single_step_term(basis, 0, 2, I2)
-    h_x = single_step_term(basis, 0, 2, NOT)
+    h_i = SparseHermitian(basis.dim, *single_step_term(basis, 0, 2, I2))
+    h_x = SparseHermitian(basis.dim, *single_step_term(basis, 0, 2, NOT))
     assert np.allclose(dense_eigs(h_i), dense_eigs(h_x), atol=1e-12)
 
 
@@ -56,7 +58,7 @@ def test_non_unitary_matrix_rejected():
 def test_complex_gate_builds_complex_hermitian():
     basis = ConfigurationBasis(1, 2)
     T = np.diag([1.0, np.exp(1j * np.pi / 4)])
-    h = single_step_term(basis, 0, 1, T)
+    h = SparseHermitian(basis.dim, *single_step_term(basis, 0, 1, T))
     assert h.is_complex
     dense = h.toarray()
     assert np.max(np.abs(dense - dense.conj().T)) == 0.0
@@ -125,8 +127,8 @@ def test_distinct_gate_terms_commute():
     build = {"cnot": cnot_term, "cid": cid_term}
     for M, N, (k1, j1, a1, b1), (k2, j2, a2, b2) in cases:
         basis = ConfigurationBasis(M, N)
-        h1 = build[k1](basis, a1, b1, j1).to_csr()
-        h2 = build[k2](basis, a2, b2, j2).to_csr()
+        h1 = SparseHermitian(basis.dim, *build[k1](basis, a1, b1, j1)).to_csr()
+        h2 = SparseHermitian(basis.dim, *build[k2](basis, a2, b2, j2)).to_csr()
         comm = (h1 @ h2 - h2 @ h1).toarray()
         assert np.max(np.abs(comm)) == 0.0
 
@@ -185,8 +187,9 @@ def test_pin_term_validation():
 
 
 def test_tipping_beta_one_is_entrywise_identity():
-    terms, H = assemble(Program(num_qubits=2, num_steps=2, gates=[gate_cnot(1, 0, 1)]))
-    tipped = apply_tipping(terms, 1.0).total(drop_tol=ENTRY_DROP_REL)
+    program = Program(num_qubits=2, num_steps=2, gates=[gate_cnot(1, 0, 1)])
+    _, H = assemble(program)
+    _, tipped = assemble(replace(program, tip_beta=1.0))
     for name in ("rows", "cols", "vals"):
         assert np.array_equal(getattr(tipped, name), getattr(H, name))
 
@@ -194,8 +197,7 @@ def test_tipping_beta_one_is_entrywise_identity():
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.1, 1.0))
 def test_tipping_preserves_hermiticity_and_psd(beta):
-    terms, _ = assemble(Program(num_qubits=1, num_steps=3))
-    tipped = apply_tipping(terms, beta).total()
+    _, tipped = assemble(Program(num_qubits=1, num_steps=3, tip_beta=beta))
     dense = tipped.toarray()
     assert np.max(np.abs(dense - dense.T)) == 0.0
     assert np.min(np.linalg.eigvalsh(dense)) > -1e-12
@@ -237,19 +239,10 @@ def test_tipped_assembly_is_congruence_of_untipped_sum(seed):
     assert np.max(np.abs(H.toarray() - expected)) <= 1e-15 * program.epsilon
 
 
-def test_tipping_twice_compounds_beta():
-    terms, _ = assemble(Program(num_qubits=2, num_steps=3, gates=[gate_cnot(2, 0, 1)]))
-    twice = apply_tipping(apply_tipping(terms, 0.5), 0.4)
-    assert twice.beta == 0.2 and terms.beta == 1.0
-    assert np.array_equal(twice.total().toarray(), apply_tipping(terms, 0.2).total().toarray())
-
-
 def test_tipping_range_validated():
-    terms, _ = assemble(Program(num_qubits=1, num_steps=1))
-    with pytest.raises(ValueError):
-        apply_tipping(terms, 0.0)
-    with pytest.raises(ValueError):
-        apply_tipping(terms, 1.5)
+    for beta in (0.0, 1.5):
+        with pytest.raises(ProgramError, match="tip_beta"):
+            assemble(Program(num_qubits=1, num_steps=1, tip_beta=beta))
 
 
 # -- readout terms -------------------------------------------------------------
@@ -265,8 +258,7 @@ def test_readout_term_requires_flagged_qubit():
 
 def test_readout_term_counts_alignment_only():
     basis = ConfigurationBasis(1, 1, readout=(0,))
-    term = readout_term(basis, 0, 2.0)
-    dense = term.toarray()
+    dense = SparseHermitian(basis.dim, *readout_term(basis, 0, 2.0)).toarray()
     diag = np.diag(dense)
     for i in range(basis.dim):
         cfg = basis.index_config(i)
@@ -292,11 +284,41 @@ def test_assemble_sum_of_terms_equals_total():
                    input_pins=[Pin(0, 0)], readout=[1], tip_beta=0.5)
     terms, H = assemble(prog)
     tip = np.diag(0.5 ** terms.basis.final_row_weight())
-    dense = tip @ sum(op.toarray() for _, op in terms.terms) @ tip
+    dense = tip @ sum(SparseHermitian(H.dim, *term).toarray() for _, term in terms.terms) @ tip
     assert np.max(np.abs(dense - H.toarray())) < 1e-15
     resum = terms.total(drop_tol=ENTRY_DROP_REL)
     for name in ("rows", "cols", "vals"):
         assert np.array_equal(getattr(resum, name), getattr(H, name))
+
+
+@pytest.mark.parametrize("program, term_count", [
+    (Program(num_qubits=1, num_steps=1), 1),
+    (Program(num_qubits=3, num_steps=4,
+             gates=[gate_single(1, 2, np.diag([1.0, 1j])), gate_cnot(2, 0, 1),
+                    gate_cid(3, 1, 2), gate_cnot(4, 0, 2)],
+             input_pins=[Pin(0, 1), Pin(2, 0)], readout=[1], tip_beta=0.5), 18),
+])
+def test_assemble_builds_two_operators_whatever_the_term_count(program, term_count, monkeypatch):
+    real_init = SparseHermitian.__init__
+    builds = []
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseHermitian, "__init__", counted)
+    terms, _ = assemble(program)
+    assert len(terms.terms) == term_count and len(builds) == 2
+
+
+def test_term_coordinates_lie_in_the_upper_triangle():
+    T = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    terms, _ = assemble(Program(num_qubits=2, num_steps=3,
+                                gates=[gate_single(1, 0, T), gate_cnot(2, 0, 1),
+                                       gate_cnot(3, 1, 0)],
+                                input_pins=[Pin(0, 0)], readout=[1]))
+    for label, (rows, cols, _) in terms.terms:
+        assert np.all(rows <= cols), label
 
 
 def test_assemble_cnot_hermitian_psd_zero_ground():

@@ -34,16 +34,16 @@ def test_real_demotion_when_imag_vanishes():
 
 def test_addition_and_drop():
     ts = TermSet(ConfigurationBasis(1, 1))
-    ts.add("a", SparseHermitian(4, rows=[0], cols=[1], vals=[1.0]))
-    ts.add("b", SparseHermitian(4, rows=[1], cols=[0], vals=[-1.0 + 1e-16]))
+    ts.add("a", ([0], [1], [1.0]))
+    ts.add("b", ([1], [0], [-1.0 + 1e-16]))
     assert ts.total().nnz == 1
     assert ts.total(drop_tol=1e-14).nnz == 0
 
 
 def test_total_is_real_when_only_real_entries_survive_the_drop():
     ts = TermSet(ConfigurationBasis(1, 1), beta=0.5)
-    ts.add("a", SparseHermitian(4, rows=[0], cols=[1], vals=[1.0]))
-    ts.add("b", SparseHermitian(4, rows=[0], cols=[2], vals=[1e-16j]))
+    ts.add("a", ([0], [1], [1.0]))
+    ts.add("b", ([0], [2], [1e-16j]))
     assert ts.total().is_complex
     total = ts.total(drop_tol=1e-14)
     assert not total.is_complex and total.vals.tolist() == [1.0]
@@ -57,7 +57,7 @@ def test_scaled_congruence_matches_dense():
     dense = dense + dense.conj().T
     iu = np.triu_indices(n)
     ts = TermSet(basis, beta=0.6)
-    ts.add("h", SparseHermitian(n, rows=iu[0], cols=iu[1], vals=dense[iu]))
+    ts.add("h", (iu[0], iu[1], dense[iu]))
     s = 0.6 ** basis.final_row_weight()
     assert np.unique(s).size == 3
     got = ts.total().toarray()
@@ -126,15 +126,13 @@ def test_coordinates_outside_dimension_rejected(rows, cols):
         SparseHermitian(3, rows=rows, cols=cols, vals=np.ones(len(rows)))
 
 
-def test_termset_sum_and_label_guard():
+def test_termset_sum():
     basis = ConfigurationBasis(1, 1)
     ts = TermSet(basis)
-    ts.add("a", SparseHermitian(4, rows=[0], cols=[0], vals=[1.0]))
-    ts.add("b", SparseHermitian(4, rows=[0], cols=[1], vals=[0.5]))
+    ts.add("a", ([0], [0], [1.0]))
+    ts.add("b", ([0], [1], [0.5]))
     total = ts.total()
     assert total.toarray()[0, 0] == 1.0 and total.toarray()[1, 0] == 0.5
-    with pytest.raises(ValueError):
-        ts.add("bad", SparseHermitian(5))
 
 
 def test_termset_total_builds_do_not_grow_with_term_count(monkeypatch):
@@ -149,7 +147,7 @@ def test_termset_total_builds_do_not_grow_with_term_count(monkeypatch):
     for n_terms in (2, 20):
         ts = TermSet(ConfigurationBasis(1, 1), beta=0.5)
         for i in range(n_terms):
-            ts.add(f"t{i}", SparseHermitian(4, rows=[i % 4], cols=[(i + 1) % 4], vals=[1.0]))
+            ts.add(f"t{i}", ([i % 4], [(i + 1) % 4], [1.0]))
         monkeypatch.setattr(SparseHermitian, "__init__", counted)
         builds.clear()
         ts.total(drop_tol=1e-14)
