@@ -40,12 +40,6 @@ def upper_bound(program: Program) -> float:
     return min(eps / (g.row * (N - g.row + 1.0 / beta ** 2)) for g in gates)
 
 
-def tipped_upper_scale(program: Program) -> float:
-    """Order-of-magnitude tipped bound eps/((N+1)(N + 1/beta^2))."""
-    N, eps, beta = program.num_steps, program.epsilon, program.beta
-    return eps / ((N + 1) * (N + 1.0 / beta ** 2))
-
-
 @dataclass
 class ScalingFit:
     exponent: float

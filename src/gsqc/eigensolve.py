@@ -118,13 +118,21 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
     """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``):
     (ascending values, vectors, LU solves run).
 
-    The assembled operators are positive semi-definite, so a small negative
-    shift makes the factorized operator strictly definite; its sparse LU,
+    The assembled operators are positive semi-definite, so the negative
+    shift sigma = -CLUSTER_TOL * scale, where scale is the largest |diagonal
+    entry|, makes the factorized operator strictly definite; its sparse LU,
     pivoted on the diagonal in a symmetric order (SYMMETRIC_LU), is ARPACK's
     inverse operator, and the k eigenvalues nearest the shift are the k
-    smallest.  Every returned pair must meet the residual bar
-    RESIDUAL_TOL * scale, where scale is the largest |diagonal entry|;
-    otherwise, or when ARPACK does not converge, ConvergenceError is raised.
+    smallest.  Shift-invert converges as fast as 1/(lambda - sigma) tells
+    the wanted levels apart, so the shift sits as close to the ground level
+    as one cluster's width: a tipped program's gap of 1e-4 * scale or less
+    is then still far wider than lambda_0 - sigma.  ARPACK stops when each
+    Ritz pair of the inverse has |OP x - theta x| <= tol * |theta|, which
+    gives |H x - lambda x| <= |H - sigma| * tol; so tol is RESIDUAL_TOL *
+    scale over |H - sigma|_inf, the shifted matrix's largest absolute row
+    sum, not machine precision.  Every returned pair must meet the residual
+    bar RESIDUAL_TOL * scale, checked explicitly; otherwise, or when ARPACK
+    does not converge, ConvergenceError is raised.
     The pairs are returned as they stand, a lowest cluster filling all k
     values included: whether it is complete is for the union to judge.
     The start vector and every restart vector ARPACK asks for are drawn from
@@ -140,11 +148,13 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
         raise SolverError(f"k={k} needs {nev} Ritz values, more than {ARPACK_NEV_FRACTION:.0%} "
                           f"of the dimension {dim}: pass a smaller k")
     csr, scale = H.to_csr(), _scale(H)
-    sigma = -1e-3 * scale
+    sigma = -CLUSTER_TOL * scale
     try:
-        _, lu = _shift_factor(csr, sigma)
+        shifted, lu = _shift_factor(csr, sigma)
     except RuntimeError as exc:
         raise ConvergenceError(f"shift-invert factorization failed: {exc}") from exc
+    bar = RESIDUAL_TOL * scale
+    tol = bar / spla.norm(shifted, np.inf)  # ARPACK's stop at the residual bar
 
     solves = 0
 
@@ -157,13 +167,12 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
     v0 = np.random.default_rng(seed).standard_normal(dim).astype(csr.dtype)
     try:
         vals, vecs = spla.eigsh(csr, nev, sigma=sigma, which="LM", OPinv=inverse,
-                                v0=v0, rng=seed)
+                                v0=v0, tol=tol, rng=seed)
     except spla.ArpackError as exc:  # includes ArpackNoConvergence
         raise ConvergenceError(f"ARPACK shift-invert failed: {exc}") from exc
     order = np.argsort(vals)[:k]
     vals, vecs = vals[order], vecs[:, order]
     worst = float(np.max(np.linalg.norm(csr @ vecs - vecs * vals, axis=0)))
-    bar = RESIDUAL_TOL * scale
     if worst > bar:
         raise ConvergenceError(f"eigenpair residual {worst:.3e} above {bar:.3e}")
     return vals, vecs, solves

@@ -219,13 +219,15 @@ def assemble(program: Program) -> tuple[TermSet, SparseHermitian]:
     terms = TermSet(basis, beta=program.beta)
 
     owned = set(program.two_body_slots())
-    singles = {(g.qubit, g.row): g.matrix for g in program.gates if g.kind == "single"}
+    # each gate checked and demoted once; the bonds then skip single_step_term's check
+    singles = {(g.qubit, g.row): check_unitary(g.matrix)
+               for g in program.gates if g.kind == "single"}
     for q in range(program.num_qubits):
         for i in range(1, program.num_steps + 1):
             if (q, i) in owned:
                 continue
             U = singles.get((q, i), _IDENTITY)
-            terms.add(f"h[q{q},i{i}]", single_step_term(basis, q, i, U, eps))
+            terms.add(f"h[q{q},i{i}]", _term(_bond_entries(basis, q, i, U, eps)))
     two_body = {"cnot": cnot_term, "cid": cid_term}
     for g in program.gates:
         if g.kind in two_body:

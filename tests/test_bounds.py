@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gsqc.bounds import (chain_gap, check_bounds, scaling_fit, tipped_upper_scale,
-                         upper_bound)
+from gsqc.bounds import chain_gap, check_bounds, scaling_fit, upper_bound
 from gsqc.eigensolve import analytic_levels, dense_spectrum
 from gsqc.errors import BoundViolationError
 from gsqc.hamiltonian import assemble
@@ -70,7 +69,8 @@ def test_tipped_bound_holds_and_scale_is_order_one():
                            tip_beta=beta)
             gap = measured_gap(prog)
             assert 0 < gap <= upper_bound(prog) * (1 + 1e-12)
-            c = gap / tipped_upper_scale(prog)
+            # gap over the order-of-magnitude tipped scale eps/((N+1)(N + 1/beta^2))
+            c = gap * (N + 1) * (N + 1.0 / beta ** 2)
             assert 0.05 < c < 10.0
 
 

@@ -19,7 +19,7 @@ from gsqc.eigensolve import (CLUSTER_TOL, _blocks, _levels_below, _solve_block,
                              solve_spectrum, solve_tipped_levels)
 from gsqc.errors import SolverError
 from gsqc.hamiltonian import assemble
-from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, pin_all,
+from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, load_program, pin_all,
                           program_to_dict)
 from gsqc.semantics import random_program
 from gsqc.sparse import SparseHermitian
@@ -292,6 +292,38 @@ def test_low_lying_reproducible_across_processes():
     runs = [subprocess.run([sys.executable, "-c", code, program], check=True, env=env,
                            capture_output=True, text=True).stdout for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_tipped_golden_block_takes_few_lu_solves():
+    # one tipped 1728-block with gap 3.8e-4: the shift at CLUSTER_TOL * scale
+    # separates its two lowest levels, and ARPACK stops at the residual bar
+    _, H = assemble(load_program(GOLDEN / "run_batch_seed1_program83.json"))
+    values, _, solves = low_lying(H, 2)
+    assert solves <= 60
+    assert values[1] - values[0] == pytest.approx(3.804e-4, rel=1e-3)
+
+
+def test_tipped_cnot_line_takes_few_lu_solves():
+    # M=2, N=60, tipped at 1/sqrt(MN): gap 5.3e-6 of the scale
+    prog = pin_all(Program(num_qubits=2, num_steps=60, gates=[gate_cnot(30, 0, 1)],
+                           tip_beta=float(choose_beta(2, 60))), "10")
+    _, H = assemble(prog)
+    res = solve_spectrum(H, k=2)
+    assert res.lu_solves <= 60
+    assert res.ground_manifold_dim == 1
+    assert res.gap == pytest.approx(5.2778e-6, rel=1e-4)
+
+
+def test_stopping_at_the_residual_bar_keeps_degenerate_copies():
+    # one 1728-block holding an 8-fold zero cluster: every copy past the first
+    # emerges only through rounding, which a loose ARPACK tol could cut short
+    _, H = assemble(Program(num_qubits=3, num_steps=5,
+                            gates=[gate_single(1, q, HAD) for q in range(3)]))
+    assert len(_blocks(H)) == 1 and H.dim == 1728
+    values, _, _ = low_lying(H, k=9)
+    assert lowest_cluster(values, H)[0] == 8
+    dense = dense_spectrum(H, vectors=False)
+    assert np.max(np.abs(values - dense.eigenvalues[:9])) <= 1e-10
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0, 1e3, 1e9])
