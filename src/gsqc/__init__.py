@@ -9,7 +9,7 @@ and implements the detection schemes (tipping, readout particles,
 controlled-identity synchronization).
 """
 
-from .basis import Configuration, ConfigurationBasis, enumerate_basis
+from .basis import ConfigurationBasis, enumerate_basis
 from .bounds import GapBounds, ScalingFit, chain_gap, check_bounds, scaling_fit, upper_bound
 from .detection import (CidSyncResult, DetectionReport, attach_readout, build_report,
                         choose_beta, cid_sync_check, detection_probability,

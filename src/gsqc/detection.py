@@ -26,37 +26,36 @@ def predicted_gate_free(M: int, N: int, beta: float) -> float:
     return float((1.0 + beta * beta * N) ** (-M))
 
 
-def _check_state(psi, basis: ConfigurationBasis) -> np.ndarray:
-    psi = np.asarray(psi)
-    if psi.shape != (basis.dim,):
-        raise ValueError(f"state has shape {psi.shape}, basis dimension is {basis.dim}")
-    return psi
+def _weights(psi, basis: ConfigurationBasis) -> np.ndarray:
+    """The normalized |psi|^2, as a tensor of the basis shape."""
+    weights = np.abs(basis.tensor(psi)) ** 2
+    weights /= weights.sum()
+    return weights
+
+
+def _marginal(weights: np.ndarray, axis: int) -> np.ndarray:
+    """The distribution of one axis of a weight tensor: the others summed out."""
+    return weights.sum(axis=tuple(a for a in range(weights.ndim) if a != axis))
 
 
 def detection_probability(psi, basis: ConfigurationBasis) -> float:
     """Probability that every qubit sits on the final row (readouts marginalized)."""
-    psi = _check_state(psi, basis)
-    block = psi[basis.row_block_indices(basis.num_steps)]
+    block = basis.row_block(psi, basis.num_steps)
     return float(np.sum(np.abs(block) ** 2) / np.sum(np.abs(psi) ** 2))
 
 
 def per_qubit_final_probabilities(psi, basis: ConfigurationBasis) -> np.ndarray:
-    psi = _check_state(psi, basis)
-    weights = np.abs(psi) ** 2
-    weights /= weights.sum()
-    return np.array([float(weights[basis.qubit_row_array(q) == basis.num_steps].sum())
-                     for q in range(basis.num_qubits)])
+    weights = _weights(psi, basis)
+    # a qubit's final-row sites are the last two of its axis
+    return np.array([float(_marginal(weights, q)[-2:].sum()) for q in range(basis.num_qubits)])
 
 
 def readout_occupations(psi, basis: ConfigurationBasis) -> list[tuple[float, float]]:
     """Per readout particle: probability of sitting in column 0 and column 1."""
-    psi = _check_state(psi, basis)
-    weights = np.abs(psi) ** 2
-    weights /= weights.sum()
+    weights = _weights(psi, basis)
     out = []
     for k in range(len(basis.readout)):
-        bits = basis.readout_bit_array(k)
-        p1 = float(weights[bits == 1].sum())
+        p1 = float(_marginal(weights, basis.num_qubits + k)[1])
         out.append((1.0 - p1, p1))
     return out
 
@@ -91,7 +90,6 @@ def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: flo
     |diagonal entry| (``RunResult.energy_scale``): a ground energy up to
     FACTOR_ENERGY_TOL * scale is zero up to rounding.
     """
-    psi = _check_state(psi, basis)
     if sorted(basis.readout) != list(range(basis.num_qubits)):
         raise ValueError("readout inference needs a readout particle on every qubit")
     tol = FACTOR_ENERGY_TOL * scale
@@ -123,7 +121,6 @@ def cid_sync_check(psi, basis: ConfigurationBasis, program: Program) -> CidSyncR
     k controls qubit k+1's entry into the final stages, the conditional is
     exactly 1 in the ground manifold.
     """
-    psi = _check_state(psi, basis)
     M, N = basis.num_qubits, basis.num_steps
     # per-qubit last gate row, defaulting to N for qubits with no two-body gate
     last = {q: [] for q in range(M)}
@@ -133,15 +130,10 @@ def cid_sync_check(psi, basis: ConfigurationBasis, program: Program) -> CidSyncR
             last[g.target].append(g.row)
     sync_rows = tuple(max(rows) if rows else N for q, rows in sorted(last.items()))
 
-    weights = np.abs(psi) ** 2
-    weights /= weights.sum()
-    rows = [basis.qubit_row_array(q) for q in range(M)]
-    last_mask = rows[M - 1] == N
-    sync_mask = last_mask.copy()
-    for q in range(M):
-        sync_mask &= rows[q] >= sync_rows[q]
-    p_last = float(weights[last_mask].sum())
-    p_sync = float(weights[sync_mask].sum())
+    weights = _weights(psi, basis)
+    # the last qubit on row N, and then every qubit at or past its sync row too
+    p_last = float(weights[(slice(None),) * (M - 1) + (slice(2 * N, None),)].sum())
+    p_sync = float(weights[tuple(slice(2 * r, None) for r in sync_rows[:-1] + (N,))].sum())
     if p_last <= 0.0:
         raise ValueError("last qubit has zero final-row probability")
     return CidSyncResult(conditional=p_sync / p_last, sync_rows=sync_rows)

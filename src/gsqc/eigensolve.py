@@ -130,7 +130,11 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
     Ritz pair of the inverse has |OP x - theta x| <= tol * |theta|, which
     gives |H x - lambda x| <= |H - sigma| * tol; so tol is RESIDUAL_TOL *
     scale over |H - sigma|_inf, the shifted matrix's largest absolute row
-    sum, not machine precision.  Every returned pair must meet the residual
+    sum, not machine precision.  ARPACK's values 1/theta + sigma then carry
+    an error first order in that residual, so the values returned are the
+    Rayleigh quotients x^H H x of the k lowest vectors, re-sorted ascending,
+    whose error is second order (Kato-Temple: at most |r|^2 over the
+    distance to the next level).  Every returned pair must meet the residual
     bar RESIDUAL_TOL * scale, checked explicitly; otherwise, or when ARPACK
     does not converge, ConvergenceError is raised.
     The pairs are returned as they stand, a lowest cluster filling all k
@@ -170,9 +174,13 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
                                 v0=v0, tol=tol, rng=seed)
     except spla.ArpackError as exc:  # includes ArpackNoConvergence
         raise ConvergenceError(f"ARPACK shift-invert failed: {exc}") from exc
-    order = np.argsort(vals)[:k]
-    vals, vecs = vals[order], vecs[:, order]
-    worst = float(np.max(np.linalg.norm(csr @ vecs - vecs * vals, axis=0)))
+    vecs = vecs[:, np.argsort(vals)[:k]]
+    Hv = csr @ vecs
+    # Rayleigh quotients x^H H x
+    vals = np.real(np.sum(vecs.conj() * Hv, axis=0))
+    order = np.argsort(vals)
+    vals, vecs, Hv = vals[order], vecs[:, order], Hv[:, order]
+    worst = float(np.max(np.linalg.norm(Hv - vecs * vals, axis=0)))
     if worst > bar:
         raise ConvergenceError(f"eigenpair residual {worst:.3e} above {bar:.3e}")
     return vals, vecs, solves

@@ -213,15 +213,13 @@ def assemble(program: Program) -> tuple[TermSet, SparseHermitian]:
     get identity development bonds, so the sum always ties row 0 to row N
     on every qubit chain.
     """
-    validate_program(program)
+    # each gate matrix checked and demoted once, here; the bonds skip single_step_term's check
+    singles = validate_program(program)
     basis = enumerate_basis(program)
     eps = program.epsilon
     terms = TermSet(basis, beta=program.beta)
 
     owned = set(program.two_body_slots())
-    # each gate checked and demoted once; the bonds then skip single_step_term's check
-    singles = {(g.qubit, g.row): check_unitary(g.matrix)
-               for g in program.gates if g.kind == "single"}
     for q in range(program.num_qubits):
         for i in range(1, program.num_steps + 1):
             if (q, i) in owned:

@@ -130,8 +130,12 @@ def _is_positive(x) -> bool:
         return False
 
 
-def validate_program(program: Program) -> None:
-    """Raise ProgramError on any violated invariant."""
+def validate_program(program: Program) -> dict[tuple[int, int], np.ndarray]:
+    """Raise ProgramError on any violated invariant.
+
+    Returns each single-qubit gate's matrix as ``check_unitary`` gives it,
+    keyed by (qubit, row).
+    """
     M, N = program.num_qubits, program.num_steps
     if not _is_int(M) or M < 1:
         raise ProgramError(f"qubits must be a positive integer, got {M!r}")
@@ -147,6 +151,7 @@ def validate_program(program: Program) -> None:
                            f"got {program.readout_strength!r}")
 
     occupied: dict[tuple[int, int], GateSpec] = {}
+    singles = {}
     for g in program.gates:
         if g.kind not in ("single", "cnot", "cid"):
             raise ProgramError(f"unknown gate kind {g.kind!r}")
@@ -155,7 +160,8 @@ def validate_program(program: Program) -> None:
         if g.kind == "single":
             if not _is_index(g.qubit, M):
                 raise ProgramError(f"single gate qubit {g.qubit!r} outside 0..{M - 1}")
-            check_unitary(g.matrix, f"gate matrix at (qubit {g.qubit}, row {g.row})")
+            singles[(g.qubit, g.row)] = check_unitary(
+                g.matrix, f"gate matrix at (qubit {g.qubit}, row {g.row})")
         else:
             if not _is_index(g.control, M):
                 raise ProgramError(f"{g.kind} control {g.control!r} outside 0..{M - 1}")
@@ -188,6 +194,7 @@ def validate_program(program: Program) -> None:
         if q in seen:
             raise ProgramError(f"readout qubit {q} listed twice")
         seen.add(q)
+    return singles
 
 
 def _matrix_from_json(obj, where: str) -> np.ndarray:

@@ -40,10 +40,7 @@ class RowProjection:
 
 def row_projection(psi: np.ndarray, j: int, basis: ConfigurationBasis) -> RowProjection:
     """Gather the row-j block, column labels identified with logical values."""
-    psi = np.asarray(psi)
-    if psi.shape != (basis.dim,):
-        raise ValueError(f"state has shape {psi.shape}, basis dimension is {basis.dim}")
-    block = psi[basis.row_block_indices(j)]
+    block = basis.row_block(psi, j)
     if not basis.readout:
         block = block[:, 0]
     return RowProjection(row=j, amplitudes=block, norm=float(np.linalg.norm(block)))
@@ -148,16 +145,15 @@ def restrict(program: Program, qubits: list[int]) -> Program:
                    readout=[new[q] for q in program.readout if q in new])
 
 
-def _kron_into_basis(columns, groups, program: Program) -> np.ndarray:
+def _kron_into_basis(columns, groups, basis: ConfigurationBasis) -> np.ndarray:
     """The product of the factors' vectors, one per group, in the program's
-    basis order: qubit digits, then readout bits in readout order."""
-    M, sites = program.num_qubits, 2 * (program.num_steps + 1)
+    basis order: each vector is a tensor over its group's axes of ``basis.shape``."""
+    M = basis.num_qubits
     tensor, axes = np.ones(()), []
     for column, group in zip(columns, groups):
-        slots = [M + s for s, q in enumerate(program.readout) if q in group]
-        tensor = np.multiply.outer(tensor, column.reshape([sites] * len(group)
-                                                          + [2] * len(slots)))
-        axes += group + slots
+        own = group + [M + s for s, q in enumerate(basis.readout) if q in group]
+        tensor = np.multiply.outer(tensor, column.reshape([basis.shape[a] for a in own]))
+        axes += own
     return np.transpose(tensor, np.argsort(axes)).ravel()
 
 
@@ -178,7 +174,8 @@ def solve_program(program: Program, k: int, seed: int = DEFAULT_SEED,
     ground cluster's columns are the products of the factors' columns; a
     cluster member that needs a factor level outside that factor's own
     cluster (possible only within CLUSTER_TOL of the scale) has none, so
-    then the whole H is solved.  Tipping scales the final-row operators of
+    then the whole H is solved.  The program's basis, and with it the
+    dimension cap, comes before any product vector.  Tipping scales the final-row operators of
     several qubits at once, S H S with S = (x) s_q, which is no Kronecker
     sum, so a tipped program, like a single group, is solved whole.
     """
@@ -198,8 +195,9 @@ def solve_program(program: Program, k: int, seed: int = DEFAULT_SEED,
         if np.all(cluster < [part.ground_manifold_dim for part in parts]):
             ground = None
             if vectors:
+                basis = enumerate_basis(program)  # the cap, before any product vector
                 ground = np.column_stack([_kron_into_basis(
-                    [part.eigenvectors[:, i] for part, i in zip(parts, member)], groups, program)
+                    [part.eigenvectors[:, i] for part, i in zip(parts, member)], groups, basis)
                     for member in cluster])
             return replace(result, eigenvectors=ground, factors=len(parts),
                            lu_solves=sum(part.lu_solves for part in parts),

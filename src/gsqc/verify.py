@@ -46,8 +46,6 @@ def restricted_gate_spectrum(N: int, j: int, kind: str = "cnot") -> np.ndarray:
     gate = gate_cnot(j, 0, 1) if kind == "cnot" else gate_cid(j, 0, 1)
     prog = Program(num_qubits=2, num_steps=N, gates=[gate])
     _, H = ham.assemble(prog)
-    basis = enumerate_basis(prog)
-    sa, sb = basis.qubit_site_array(0), basis.qubit_site_array(1)
     vecs = []
     for side_a in ("up", "down"):
         for col_a in (0, 1):
@@ -55,7 +53,7 @@ def restricted_gate_spectrum(N: int, j: int, kind: str = "cnot") -> np.ndarray:
             for side_b in ("up", "down"):
                 for col_b in (0, 1):
                     wb = _region_weights(N, j, col_b, side_b)
-                    vecs.append(wa[sa] * wb[sb])
+                    vecs.append(np.outer(wa, wb).ravel())
     V = np.array(vecs).T
     return np.linalg.eigvalsh(V.T @ H.toarray() @ V)
 

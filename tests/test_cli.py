@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -452,6 +453,27 @@ def test_import_cli_does_not_load_scipy_optimize():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import gsqc.cli, sys; assert 'scipy.optimize' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_run_above_the_basis_cap_exits_2_in_bounded_memory(tmp_path):
+    # pinned gate-free M=7, N=8 splits into seven one-qubit factors, but its
+    # product vector (18^7 entries, 4.9 GB) is past the basis cap: the cap must
+    # be checked before that vector is formed, so 3 GiB of address space is plenty
+    path = tmp_path / "m7n8.json"
+    path.write_text(json.dumps({"qubits": 7, "steps": 8,
+                                "pins": [{"qubit": q, "bit": 0} for q in range(7)]}))
+    src = str(Path(gsqc.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    limit = 3 * 2 ** 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "gsqc.cli", "run", "--program", str(path)],
+                          env=env, preexec_fn=cap_memory, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds cap" in proc.stderr
 
 
 def test_verify_passes(capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gsqc.hamiltonian
+import gsqc.program
 from gsqc.basis import ConfigurationBasis, enumerate_basis
 from gsqc.eigensolve import dense_spectrum
 from gsqc.errors import ProgramError
@@ -92,7 +94,8 @@ def test_target_never_ahead_of_control_in_kernel(kind, N, j):
     _, H = assemble(prog)
     result = dense_spectrum(H)
     basis = enumerate_basis(prog)
-    forbidden = (basis.qubit_row_array(0) < j) & (basis.qubit_row_array(1) >= j)
+    site = np.unravel_index(np.arange(basis.dim), basis.shape)
+    forbidden = (site[0] // 2 < j) & (site[1] // 2 >= j)
     assert result.ground_manifold_dim == 4
     for k in range(result.ground_manifold_dim):
         psi = result.eigenvectors[:, k]
@@ -105,7 +108,7 @@ def test_cid_zero_manifold_acts_as_identity():
     _, H = assemble(prog)
     result = dense_spectrum(H)
     basis = enumerate_basis(prog)
-    block = result.ground_vector()[basis.row_block_indices(3)][:, 0]
+    block = basis.row_block(result.ground_vector(), 3)[:, 0]
     probs = np.abs(block) ** 2 / np.sum(np.abs(block) ** 2)
     assert np.allclose(probs, [0.0, 0.0, 1.0, 0.0], atol=1e-12)  # input 10 unchanged
 
@@ -220,7 +223,7 @@ def test_tipped_final_row_probability_formula():
     _, H = assemble(prog)
     psi = dense_spectrum(H).ground_vector()
     basis = enumerate_basis(prog)
-    p_final = float(np.sum(np.abs(psi[basis.qubit_row_array(0) == N]) ** 2))
+    p_final = float(np.sum(np.abs(basis.tensor(psi)[2 * N:]) ** 2))
     assert np.isclose(p_final, (1 / beta**2) / (N + 1 / beta**2), atol=1e-12)
     assert np.isclose(p_final, 4.0 / 6.0, atol=1e-12)
 
@@ -261,9 +264,9 @@ def test_readout_term_counts_alignment_only():
     dense = SparseHermitian(basis.dim, *readout_term(basis, 0, 2.0)).toarray()
     diag = np.diag(dense)
     for i in range(basis.dim):
-        cfg = basis.index_config(i)
-        row, col = cfg.qubit_sites[0]
-        aligned = row == 1 and cfg.readout_bits[0] == col
+        site, bit = np.unravel_index(i, basis.shape)
+        row, col = divmod(int(site), 2)
+        aligned = row == 1 and bit == col
         assert diag[i] == (2.0 if aligned else 0.0)
     assert np.count_nonzero(dense - np.diag(diag)) == 0
 
@@ -309,6 +312,23 @@ def test_assemble_builds_two_operators_whatever_the_term_count(program, term_cou
     monkeypatch.setattr(SparseHermitian, "__init__", counted)
     terms, _ = assemble(program)
     assert len(terms.terms) == term_count and len(builds) == 2
+
+
+def test_assemble_checks_each_gate_matrix_once(monkeypatch):
+    real = gsqc.program.check_unitary
+    calls = []
+    for module in (gsqc.program, gsqc.hamiltonian):
+        monkeypatch.setattr(module, "check_unitary",
+                            lambda matrix, *args: calls.append(1) or real(matrix, *args))
+    T = np.array([[1.0, 0.0], [0.0, 1.0 + 0.0j]])  # complex dtype, zero imaginary part
+    prog = Program(num_qubits=2, num_steps=3,
+                   gates=[gate_single(1, 0, T), gate_single(3, 1, NOT), gate_cnot(2, 0, 1)])
+    singles = gsqc.program.validate_program(prog)
+    assert len(calls) == 2 and sorted(singles) == [(0, 1), (1, 3)]
+    assert singles[(0, 1)].dtype == np.float64  # demoted, so H stays real
+    calls.clear()
+    _, H = assemble(prog)
+    assert len(calls) == 2 and not H.is_complex
 
 
 def test_term_coordinates_lie_in_the_upper_triangle():

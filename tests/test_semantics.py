@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gsqc.semantics
 from gsqc.basis import enumerate_basis
@@ -227,6 +227,9 @@ def _solved(solve):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), pool=st.sampled_from(["orthogonal", "unitary"]),
        kind=st.sampled_from(["cnot", "cid"]), pin=st.booleans(), readout=st.booleans())
+# one 1000-block solved by Lanczos: its levels must be Rayleigh quotients, not
+# ARPACK's values, to match the dense factors' gap to 1e-10
+@example(seed=58267, pool="orthogonal", kind="cnot", pin=False, readout=False)
 def test_factored_solve_matches_whole(seed, pool, kind, pin, readout):
     rng = np.random.default_rng(seed)
     prog = random_program(rng, max_qubits=3, max_steps=4, max_two_body=1, gate_pool=pool,
