@@ -26,9 +26,8 @@ from .hamiltonian import (assemble, cid_term, cnot_term, pin_term, readout_term,
 from .program import (GateSpec, Pin, Program, gate_cid, gate_cnot, gate_single,
                       load_program, pin_all, program_from_dict, program_to_dict,
                       validate_program)
-from .semantics import (RowProjection, RunResult, random_program, reference_circuit,
-                        row_projection, run_program, solve_program, step_unitary,
-                        verify_development)
+from .semantics import (RunResult, random_program, reference_circuit, run_program,
+                        solve_program, verify_development)
 from .sparse import SparseHermitian, TermSet
 
 __version__ = "0.1.0"

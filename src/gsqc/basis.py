@@ -54,14 +54,25 @@ class ConfigurationBasis:
         basis order when each list of allowed values is ascending.
 
         qubit_sites maps qubit -> site or list of sites (site = 2*row + col);
-        readout_bits maps readout slot -> bit.
+        readout_bits maps readout slot -> bit.  ValueError names a qubit
+        outside 0..M-1, a readout slot outside 0..R-1, or a value outside
+        its axis.
         """
-        fixed = dict(qubit_sites or {})
-        fixed.update({self.num_qubits + k: bit for k, bit in (readout_bits or {}).items()})
+        M, fixed = self.num_qubits, {}
+        for name, first, count, constraints in (("qubit", 0, M, qubit_sites),
+                                                ("readout slot", M, len(self.readout),
+                                                 readout_bits)):
+            for key, values in (constraints or {}).items():
+                if not 0 <= key < count:
+                    raise ValueError(f"{name} {key} outside 0..{count - 1}")
+                values = np.atleast_1d(np.asarray(values, dtype=np.int64))
+                size, listed = self.shape[first + key], values.tolist()
+                if listed and not (0 <= min(listed) and max(listed) < size):
+                    raise ValueError(f"{name} {key}: values {listed} outside 0..{size - 1}")
+                fixed[first + key] = values
         idx = np.zeros(1, dtype=np.int64)
         for a, size in enumerate(self.shape):  # C order: each axis appended as a minor digit
-            values = (np.atleast_1d(np.asarray(fixed[a], dtype=np.int64)) if a in fixed
-                      else np.arange(size, dtype=np.int64))
+            values = fixed[a] if a in fixed else np.arange(size, dtype=np.int64)
             idx = (idx[:, None] * size + values).ravel()
         return idx
 

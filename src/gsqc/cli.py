@@ -179,7 +179,12 @@ def cmd_run(args) -> int:
         "gap": result.gap,
         "detection": result.detection.to_dict(),
     }
-    if program.readout:
+    unread = [q for q in range(program.num_qubits) if q not in program.readout]
+    if program.readout and unread:
+        doc["readout_bits"] = None
+        doc["readout_error"] = (f"no readout particle on qubit(s) {unread}: readout bits "
+                                "need one on every qubit")
+    elif program.readout:
         try:
             doc["readout_bits"] = infer_output_from_readout(
                 result.ground_state, result.basis, result.ground_energy, result.energy_scale)

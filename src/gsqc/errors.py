@@ -37,8 +37,11 @@ class IndeterminateInputError(ConsistencyError):
     """Ground state carries no weight on the input block; residual undefined."""
 
 
-class NonFactoringOutputError(GsqcError):
-    """Readout scheme rejected: the program's final state does not factor."""
+class NonFactoringOutputError(ProgramError):
+    """Readout scheme rejected: the program's final state does not factor.
+
+    A ProgramError: the readout scheme cannot run such a program (exit code 2).
+    """
 
 
 class BoundViolationError(GsqcError):

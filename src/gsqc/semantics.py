@@ -1,9 +1,9 @@
 """Ground-state semantics: does the state develop like the circuit says?
 
-The row-j projection gathers the amplitudes of configurations with every
-qubit on row j.  A conforming zero-energy state satisfies, for every j,
-block_j = (step_j ... step_1) block_0, where step_i is the 2^M unitary of
-row i.  A direct statevector simulator provides the right-hand side.
+The row-j block holds the amplitudes of the configurations with every qubit
+on row j.  A conforming zero-energy state satisfies, for every j,
+block_j = (step_j ... step_1) block_0, where step_i applies row i's gates to
+the (2,)^M logical tensor; the statevector simulator steps the same way.
 
 ``solve_program`` is the program-level solve behind ``run_program`` and
 ``gap-scan``.  Qubits that no two-body gate links to the rest make an
@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ConfigurationBasis, enumerate_basis
-from .detection import build_report, DetectionReport
-from .errors import (ConsistencyError, IndeterminateInputError, ProgramError, SolverError,
-                     TruncatedClusterError)
+from .detection import FACTOR_ENERGY_TOL, build_report, DetectionReport
+from .errors import (ConsistencyError, IndeterminateInputError, NonFactoringOutputError,
+                     ProgramError, SolverError, TruncatedClusterError)
 from .eigensolve import DEFAULT_SEED, SpectralResult, _scale, _union, solve_spectrum
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
@@ -29,51 +29,25 @@ from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
 RUN_RESIDUAL_TOL = 1e-6
 
 
-@dataclass
-class RowProjection:
-    """Amplitude block of the all-qubits-at-row-j configurations."""
-
-    row: int
-    amplitudes: np.ndarray  # shape (2^M,) or (2^M, 2^R) with readout particles
-    norm: float
-
-
-def row_projection(psi: np.ndarray, j: int, basis: ConfigurationBasis) -> RowProjection:
-    """Gather the row-j block, column labels identified with logical values."""
-    block = basis.row_block(psi, j)
-    if not basis.readout:
-        block = block[:, 0]
-    return RowProjection(row=j, amplitudes=block, norm=float(np.linalg.norm(block)))
-
-
-def step_unitary(program: Program, row: int) -> np.ndarray:
-    """Full 2^M unitary applied at one row (CID acts as logical identity)."""
-    M = program.num_qubits
-    dim = 2 ** M
-    U = np.eye(dim, dtype=complex)
+def _apply_row(program: Program, row: int, state: np.ndarray) -> np.ndarray:
+    """The state after one row's gates.  Its first M axes are the qubits'
+    logical values, qubit 0 first; any further axes ride along.  A CID is
+    the logical identity."""
     for g in program.gates:
         if g.row != row:
             continue
         if g.kind == "single":
-            op = np.ones((1, 1), dtype=complex)
-            for q in range(M):
-                op = np.kron(op, np.asarray(g.matrix, dtype=complex) if q == g.qubit else np.eye(2))
-            U = op @ U
-        elif g.kind == "cnot":
-            perm = np.arange(dim)
-            control_bit = 1 << (M - 1 - g.control)
-            target_bit = 1 << (M - 1 - g.target)
-            flip = (perm & control_bit).astype(bool)
-            perm = np.where(flip, perm ^ target_bit, perm)
-            P = np.zeros((dim, dim), dtype=complex)
-            P[perm, np.arange(dim)] = 1.0
-            U = P @ U
-        # cid: logical identity
-    return U
+            U = np.asarray(g.matrix, dtype=complex)
+            state = np.moveaxis(np.tensordot(U, state, axes=(1, g.qubit)), 0, g.qubit)
+        elif g.kind == "cnot":  # flip the target on the control = 1 slice
+            state = state.copy()
+            on = (slice(None),) * g.control + (1,)
+            state[on] = np.flip(state[on], g.target - (g.target > g.control))
+    return state
 
 
 def reference_circuit(program: Program, bits) -> np.ndarray:
-    """Statevector oracle: apply each step's unitary in row order to the input."""
+    """Statevector oracle: step the input's (2,)^M tensor through every row."""
     validate_program(program)
     M = program.num_qubits
     if isinstance(bits, str):
@@ -81,11 +55,11 @@ def reference_circuit(program: Program, bits) -> np.ndarray:
     bits = list(bits)
     if len(bits) != M or any(b not in (0, 1) for b in bits):
         raise ValueError(f"need {M} input bits, got {bits!r}")
-    state = np.zeros(2 ** M, dtype=complex)
-    state[int("".join(str(b) for b in bits), 2)] = 1.0
+    state = np.zeros((2,) * M, dtype=complex)
+    state[tuple(bits)] = 1.0
     for row in range(1, program.num_steps + 1):
-        state = step_unitary(program, row) @ state
-    return state
+        state = _apply_row(program, row, state)
+    return state.ravel()
 
 
 def verify_development(psi: np.ndarray, program: Program,
@@ -94,25 +68,24 @@ def verify_development(psi: np.ndarray, program: Program,
 
     For tipped programs the final-row block is rescaled by beta^M before the
     comparison (the ground state carries 1/beta extra amplitude per qubit on
-    row N).  Zero-energy states return residuals at solver precision.
+    row N).  Block 0 is stepped row by row as a (2,)^M + (2^R,) tensor.
+    Zero-energy states return residuals at solver precision.
     """
     if basis is None:
         basis = enumerate_basis(program)
-    block0 = row_projection(psi, 0, basis)
-    if block0.norm < 1e-12:
+    M, N = program.num_qubits, program.num_steps
+    block0 = basis.row_block(psi, 0)
+    norm0 = float(np.linalg.norm(block0))
+    if norm0 < 1e-12:
         raise IndeterminateInputError(
-            f"input block norm {block0.norm:.3e} below 1e-12; input indeterminate")
-    beta = program.beta
-    acc = np.eye(2 ** program.num_qubits, dtype=complex)
-    worst = 0.0
-    for j in range(1, program.num_steps + 1):
-        acc = step_unitary(program, j) @ acc
-        block = row_projection(psi, j, basis)
-        amp = block.amplitudes
-        if j == program.num_steps and beta != 1.0:
-            amp = amp * beta ** program.num_qubits
-        expected = acc @ block0.amplitudes
-        worst = max(worst, float(np.linalg.norm(amp - expected)) / block0.norm)
+            f"input block norm {norm0:.3e} below 1e-12; input indeterminate")
+    expected, worst = block0.reshape((2,) * M + (-1,)), 0.0
+    for j in range(1, N + 1):
+        expected = _apply_row(program, j, expected)
+        block = basis.row_block(psi, j)
+        if j == N and program.beta != 1.0:
+            block = block * program.beta ** M
+        worst = max(worst, float(np.linalg.norm(block - expected.reshape(block.shape))) / norm0)
     return worst
 
 
@@ -235,7 +208,10 @@ def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     """Solve for the ground state (``solve_program``), verify development, read output.
 
     Requires every input pinned so the ground state is unique; a ground
-    level that is degenerate all the same raises SolverError.
+    level that is degenerate all the same raises SolverError.  With readout
+    particles, a degenerate ground level or a ground energy above
+    FACTOR_ENERGY_TOL * scale means the output does not factor, and raises
+    NonFactoringOutputError before the development check.
     """
     validate_program(program)
     if program.pinned_qubits() != set(range(program.num_qubits)):
@@ -243,23 +219,28 @@ def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     try:
         result, scale = solve_program(program, k=2, seed=seed)
     except TruncatedClusterError as exc:
-        raise SolverError("the ground level is degenerate, so the pinned program's ground "
-                          "state is not unique; with readout particles this means its "
-                          "output does not factor") from exc
+        error = NonFactoringOutputError if program.readout else SolverError
+        raise error("the ground level is degenerate, so the pinned program's ground "
+                    "state is not unique; with readout particles this means its "
+                    "output does not factor") from exc
+    if program.readout and result.ground_energy > FACTOR_ENERGY_TOL * scale:
+        raise NonFactoringOutputError(
+            f"combined ground energy {result.ground_energy:.3e} above "
+            f"{FACTOR_ENERGY_TOL * scale:g}: the output does not factor")
     basis = enumerate_basis(program)
     psi = result.ground_vector()
     residual = verify_development(psi, program, basis)
     if residual > RUN_RESIDUAL_TOL:
         raise ConsistencyError(
             f"development residual {residual:.3e} above {RUN_RESIDUAL_TOL:g}")
-    block = row_projection(psi, program.num_steps, basis).amplitudes
+    block = basis.row_block(psi, program.num_steps)
     if basis.readout:
         # leading factor of the (qubit, readout) block; exact when the
         # combined ground state factorizes
         u, _s, _vh = np.linalg.svd(block)
         logical = u[:, 0]
     else:
-        logical = block
+        logical = block[:, 0]
     logical = logical / np.linalg.norm(logical)
     report = build_report(psi, basis, program)
     return RunResult(logical_state=logical, residual=residual,

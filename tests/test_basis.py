@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsqc.basis import ConfigurationBasis, enumerate_basis
 from gsqc.errors import BasisSizeError
+from gsqc.hamiltonian import pin_term
 from gsqc.program import Program
 
 # The layout contract: the basis order is the C order of
@@ -119,6 +120,25 @@ def test_invalid_lookups():
     for j in (-1, 3):
         with pytest.raises(ValueError, match="outside"):
             basis.row_block(np.zeros(basis.dim), j)
+
+
+def test_indices_where_checks_its_axes():
+    basis = ConfigurationBasis(2, 2, readout=(1,))
+    for qubit_sites, readout_bits, match in (({7: 0}, None, "qubit 7"),
+                                             ({-1: 0}, None, "qubit -1"),
+                                             ({0: 6}, None, "qubit 0"),
+                                             ({1: [0, 2, 6]}, None, "qubit 1"),
+                                             ({0: -1}, None, "qubit 0"),
+                                             (None, {3: 1}, "readout slot 3"),
+                                             (None, {0: 2}, "readout slot 0")):
+        with pytest.raises(ValueError, match=match):
+            basis.indices_where(qubit_sites, readout_bits)
+    # the public term builders pass their qubit through
+    with pytest.raises(ValueError, match="qubit 7"):
+        pin_term(ConfigurationBasis(2, 2), 7, 0, 1.0)
+    # the largest value on every axis still lands on the last index
+    assert basis.indices_where({0: 5, 1: [5]}, {0: 1}).tolist() == [basis.dim - 1]
+    assert basis.indices_where({0: []}).size == 0
 
 
 def test_row_block_index_ordering():

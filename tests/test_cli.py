@@ -146,10 +146,37 @@ def test_run_bell_readout_names_degenerate_ground_level(tmp_path, capsys):
            "pins": [{"qubit": 0, "bit": 0}, {"qubit": 1, "bit": 0}], "readout": [0, 1]}
     path = tmp_path / "bell.json"
     path.write_text(json.dumps(doc))
-    assert main(["run", "--program", str(path)]) == 3
+    assert main(["run", "--program", str(path)]) == 2
     err = capsys.readouterr().err
     assert "ground level is degenerate" in err and "does not factor" in err
     assert "larger k" not in err
+
+
+def test_run_readout_of_a_superposition_exit_2(tmp_path, capsys):
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    doc = {"qubits": 1, "steps": 2,
+           "gates": [{"kind": "single", "row": 1, "qubit": 0,
+                      "matrix": [[[c, 0], [-s, 0]], [[s, 0], [c, 0]]]}],
+           "pins": [{"qubit": 0, "bit": 0}], "readout": [0]}
+    path = tmp_path / "rot30.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--program", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "combined ground energy" in captured.err and "does not factor" in captured.err
+    assert captured.out == ""
+
+
+def test_run_partial_readout_list_reports_readout_error(tmp_path, capsys):
+    doc = {"qubits": 2, "steps": 2, "gates": [{"kind": "cnot", "row": 1, "control": 0,
+                                               "target": 1}],
+           "pins": [{"qubit": 0, "bit": 1}, {"qubit": 1, "bit": 0}], "readout": [0]}
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--program", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["output"] == [["11", pytest.approx(1.0)]]
+    assert out["readout_bits"] is None
+    assert "qubit(s) [1]" in out["readout_error"]
 
 
 def test_gap_scan_single_qubit_with_footer(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,20 +9,95 @@ import gsqc.semantics
 from gsqc.basis import enumerate_basis
 from gsqc.detection import attach_readout
 from gsqc.eigensolve import CLUSTER_TOL, _scale, dense_spectrum, solve_spectrum
-from gsqc.errors import (ConsistencyError, IndeterminateInputError, ProgramError,
-                         TruncatedClusterError)
+from gsqc.errors import (ConsistencyError, IndeterminateInputError, NonFactoringOutputError,
+                         ProgramError, TruncatedClusterError)
 from gsqc.hamiltonian import assemble
 from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from gsqc.semantics import (qubit_groups, random_program, reference_circuit, restrict,
-                            row_projection, solve_program,
-                            run_program, step_unitary, verify_development)
+                            solve_program, run_program, verify_development)
 
 NOT = np.array([[0.0, 1.0], [1.0, 0.0]])
 HAD = np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
                 [np.sin(np.pi / 4), np.cos(np.pi / 4)]])
 
 
-# -- reference circuit oracle ----------------------------------------------------
+# -- dense oracle: each row as a 2^M x 2^M matrix --------------------------------
+
+
+def _dense_row(program, row):
+    """Row ``row``'s 2^M unitary: a kron product per single gate, a permutation
+    matrix per CNOT, nothing for a CID."""
+    M = program.num_qubits
+    dim = 2 ** M
+    U = np.eye(dim, dtype=complex)
+    for g in program.gates:
+        if g.row != row:
+            continue
+        if g.kind == "single":
+            op = np.ones((1, 1), dtype=complex)
+            for q in range(M):
+                op = np.kron(op, np.asarray(g.matrix, dtype=complex) if q == g.qubit else np.eye(2))
+            U = op @ U
+        elif g.kind == "cnot":
+            perm = np.arange(dim)
+            control_bit = 1 << (M - 1 - g.control)
+            target_bit = 1 << (M - 1 - g.target)
+            perm = np.where(perm & control_bit, perm ^ target_bit, perm)
+            P = np.zeros((dim, dim), dtype=complex)
+            P[perm, np.arange(dim)] = 1.0
+            U = P @ U
+    return U
+
+
+def _dense_circuit(program, bits):
+    state = np.zeros(2 ** program.num_qubits, dtype=complex)
+    state[int("".join(map(str, bits)), 2)] = 1.0
+    for row in range(1, program.num_steps + 1):
+        state = _dense_row(program, row) @ state
+    return state
+
+
+def _dense_development(psi, program, basis):
+    """verify_development's residual from accumulated dense row matrices."""
+    block0 = basis.row_block(psi, 0)
+    acc = np.eye(2 ** program.num_qubits, dtype=complex)
+    worst = 0.0
+    for j in range(1, program.num_steps + 1):
+        acc = _dense_row(program, j) @ acc
+        block = basis.row_block(psi, j)
+        if j == program.num_steps:
+            block = block * program.beta ** program.num_qubits
+        worst = max(worst, np.linalg.norm(block - acc @ block0) / np.linalg.norm(block0))
+    return worst
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pool=st.sampled_from(["orthogonal", "unitary", "permutation"]),
+       kind=st.sampled_from(["cnot", "cid"]), readout=st.booleans(), tipped=st.booleans())
+def test_stepper_matches_dense_oracle(seed, pool, kind, readout, tipped):
+    rng = np.random.default_rng(seed)
+    prog = random_program(rng, max_qubits=4, max_steps=3, max_two_body=4, gate_pool=pool,
+                          two_body_kind=kind, single_rate=0.6)
+    M = prog.num_qubits
+    if tipped:
+        prog = replace(prog, tip_beta=0.5)
+    if readout:  # a random nonempty subset, in a random order
+        prog = attach_readout(prog, [int(q) for q in rng.permutation(M)[:rng.integers(1, M + 1)]])
+    for bits in itertools.product((0, 1), repeat=M):
+        assert np.max(np.abs(reference_circuit(prog, bits) - _dense_circuit(prog, bits))) <= 1e-14
+    basis = enumerate_basis(prog)
+    # the lowest dense eigenvector, where a dense solve is cheap; any state
+    # has a residual, so a random one stands in above that size
+    if basis.dim <= 1024:
+        psi = dense_spectrum(assemble(prog)[1]).eigenvectors[:, 0]
+    else:
+        psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    want = _dense_development(psi, prog, basis)
+    assert abs(verify_development(psi, prog, basis) - want) <= 1e-14
+
+
+# -- reference circuit -------------------------------------------------------------
 
 
 def test_reference_identity():
@@ -42,17 +120,15 @@ def test_reference_cnot_truth_table():
 
 
 def test_step_unitary_composition_order():
-    # NOT on qubit 0 then CNOT in the same row applies single gates first
+    # a NOT and a CNOT on qubit 0 in the same row share its (qubit 0, row 1)
+    # slot, so no order between them arises: rejected upstream
     prog = Program(num_qubits=2, num_steps=1,
                    gates=[gate_single(1, 0, NOT), gate_cnot(1, 1, 0)])
     with pytest.raises(ProgramError):
-        # shares the (qubit 0, row 1) slot: rejected upstream
         reference_circuit(prog, "00")
-    U = step_unitary(Program(num_qubits=1, num_steps=1, gates=[gate_single(1, 0, NOT)]), 1)
-    assert np.allclose(U, NOT.astype(complex))
 
 
-# -- row projection ---------------------------------------------------------------
+# -- row blocks -------------------------------------------------------------------
 
 
 def test_row_occupation_uniform_for_free_chain():
@@ -63,8 +139,7 @@ def test_row_occupation_uniform_for_free_chain():
     for k in range(res.ground_manifold_dim):
         psi = res.eigenvectors[:, k]
         for j in range(6):
-            block = row_projection(psi, j, basis)
-            assert abs(block.norm**2 - 1.0 / 6.0) < 1e-10
+            assert abs(np.linalg.norm(basis.row_block(psi, j)) ** 2 - 1.0 / 6.0) < 1e-10
 
 
 def test_pinned_projection_kills_complement_column():
@@ -72,8 +147,7 @@ def test_pinned_projection_kills_complement_column():
     _, H = assemble(prog)
     basis = enumerate_basis(prog)
     psi = dense_spectrum(H).ground_vector()
-    block = row_projection(psi, 0, basis)
-    assert abs(block.amplitudes[1]) < 1e-12
+    assert abs(basis.row_block(psi, 0)[1, 0]) < 1e-12
 
 
 def test_projection_after_cnot_reads_gate_output():
@@ -82,8 +156,7 @@ def test_projection_after_cnot_reads_gate_output():
     _, H = assemble(prog)
     basis = enumerate_basis(prog)
     psi = dense_spectrum(H).ground_vector()
-    block = row_projection(psi, 2, basis)
-    probs = np.abs(block.amplitudes) ** 2
+    probs = np.abs(basis.row_block(psi, 2)[:, 0]) ** 2
     probs /= probs.sum()
     assert np.allclose(probs, [0, 0, 1, 0], atol=1e-12)  # CNOT|11> = |10>
 
@@ -177,6 +250,50 @@ def test_run_consistency_error_on_loose_tolerance(monkeypatch):
     prog = Program(num_qubits=1, num_steps=2, input_pins=[Pin(0, 0)])
     with pytest.raises(ConsistencyError):
         run_program(prog)
+
+
+ROT30 = np.array([[np.cos(np.pi / 6), -np.sin(np.pi / 6)],
+                  [np.sin(np.pi / 6), np.cos(np.pi / 6)]])
+
+
+def test_run_readout_of_a_superposition_does_not_factor():
+    # the 30-degree rotation leaves qubit 0 in a superposition that no
+    # readout position matches: the combined ground energy is far above zero
+    prog = attach_readout(Program(num_qubits=1, num_steps=2, gates=[gate_single(1, 0, ROT30)],
+                                  input_pins=[Pin(0, 0)]), [0])
+    with pytest.raises(NonFactoringOutputError, match="combined ground energy .* does not factor"):
+        run_program(prog)
+
+
+def test_run_bell_readout_raises_non_factoring():
+    bell = attach_readout(pin_all(Program(num_qubits=2, num_steps=2,
+                                          gates=[gate_single(1, 0, HAD), gate_cnot(2, 0, 1)]),
+                                  "00"))
+    with pytest.raises(NonFactoringOutputError, match="ground level is degenerate"):
+        run_program(bell)
+    assert issubclass(NonFactoringOutputError, ProgramError)
+
+
+def test_readout_programs_factor_or_say_they_do_not():
+    # a readout program either develops like its circuit or raises
+    # NonFactoringOutputError; never ConsistencyError
+    rng = np.random.default_rng(11)
+    outcomes = {"factors": 0, "does not factor": 0}
+    for i in range(36):
+        prog = random_program(rng, max_qubits=3, max_steps=4,
+                              gate_pool=("orthogonal", "unitary", "permutation")[i % 3])
+        if rng.random() < 0.3:
+            prog = replace(prog, tip_beta=0.5)
+        M = prog.num_qubits
+        prog = attach_readout(prog, [int(q) for q in rng.permutation(M)[:rng.integers(1, M + 1)]])
+        try:
+            res = run_program(prog)
+        except NonFactoringOutputError:
+            outcomes["does not factor"] += 1
+            continue
+        assert res.residual <= 1e-8
+        outcomes["factors"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_randomized_programs_verify_against_reference():
