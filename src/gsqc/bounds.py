@@ -35,8 +35,7 @@ def upper_bound(program: Program) -> float:
     if not gates:
         if beta == 1.0:
             return chain_gap(N, eps)
-        levels = solve_tipped_levels(N, eps, beta)
-        return float(levels[levels > 1e-9 * eps][0])
+        return float(solve_tipped_levels(N, eps, beta)[2])
     return min(eps / (g.row * (N - g.row + 1.0 / beta ** 2)) for g in gates)
 
 

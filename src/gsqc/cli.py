@@ -18,7 +18,7 @@ from .bounds import check_bounds, scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
 from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError,
                      ProgramError, SolverError)
-from .eigensolve import DEFAULT_SEED, solve_spectrum
+from .eigensolve import solve_spectrum
 from .hamiltonian import assemble
 from .program import Pin, Program, gate_cid, gate_cnot, load_program
 from .semantics import run_program, solve_program
@@ -49,7 +49,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 _OPTIONS = {
-    "--seed": dict(type=int, default=DEFAULT_SEED, help="deterministic solver seed"),
     "--k": dict(type=int, default=None, help="lowest levels to solve (default 2^M + 1)"),
     "--out": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
@@ -77,7 +76,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_run = commands["run"] = sub.add_parser(
         "run", help="solve a program file, print its output as JSON")
     p_run.add_argument("--program", required=True, help="program JSON file")
-    _add_common(p_run, "--seed", "--out")
+    _add_common(p_run, "--out")
 
     p_gap = commands["gap-scan"] = sub.add_parser(
         "gap-scan", help="sweep N, emit gap/bound rows as CSV")
@@ -89,7 +88,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_gap.add_argument("--beta", type=float, default=1.0)
     p_gap.add_argument("--timings", action="store_true",
                        help="append a wall-time column (breaks byte determinism)")
-    _add_common(p_gap, "--seed", "--k", "--out", "--format")
+    _add_common(p_gap, "--k", "--out", "--format")
 
     p_det = commands["detect"] = sub.add_parser(
         "detect", help="detection probability sweep over beta")
@@ -97,16 +96,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_det.add_argument("--n", type=int, default=4)
     p_det.add_argument("--betas", default="1.0",
                        help="comma list of tipping factors; 1/sqrt(MN) is always included")
-    _add_common(p_det, "--seed", "--out", "--format")
+    _add_common(p_det, "--out", "--format")
 
     p_spec = commands["spectrum"] = sub.add_parser(
         "spectrum", help="dump low-lying levels of a program")
     p_spec.add_argument("--program", required=True)
-    _add_common(p_spec, "--seed", "--k", "--out", "--format")
+    _add_common(p_spec, "--k", "--out", "--format")
 
     p_ver = commands["verify"] = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--checks", default=None, help="comma list of check names")
-    _add_common(p_ver, "--seed")
+    _add_common(p_ver)
     return parser, commands
 
 
@@ -169,7 +168,7 @@ def _maybe_show_config(args) -> bool:
 
 def cmd_run(args) -> int:
     program = load_program(args.program)
-    result = run_program(program, seed=args.seed)
+    result = run_program(program)
     doc = {
         "qubits": program.num_qubits,
         "steps": program.num_steps,
@@ -214,7 +213,7 @@ def _gap_row(args, N: int):
             row["gates"] = f"{args.gate}@{j}:0>1"
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,
                           tip_beta=None if args.beta == 1.0 else args.beta)
-        res, _ = solve_program(program, args.k, args.seed, vectors=False)
+        res, _ = solve_program(program, args.k, vectors=False)
         row.update(e0=res.ground_energy, gap=res.gap, iterations=res.lu_solves)
         if res.gap is None:
             row["upper"] = upper_bound(program)
@@ -295,7 +294,7 @@ def cmd_detect(args) -> int:
         program = Program(num_qubits=args.m, num_steps=args.n,
                           input_pins=[Pin(q, 0) for q in range(args.m)],
                           tip_beta=None if beta == 1.0 else beta)
-        res = run_program(program, seed=args.seed)
+        res = run_program(program)
         rep = res.detection
         return {"beta": beta, "p_all": rep.p_all_final,
                 "predicted": rep.predicted_gate_free,
@@ -318,7 +317,7 @@ def cmd_spectrum(args) -> int:
     program = load_program(args.program)
     k = _eigenpairs(args, program.num_qubits)
     _, H = assemble(program)
-    res = solve_spectrum(H, k=H.dim if H.dim <= DENSE_SOLVE_MAX else k, seed=args.seed)
+    res = solve_spectrum(H, k=H.dim if H.dim <= DENSE_SOLVE_MAX else k)
     if args.fmt == "json":
         text = json.dumps({"eigenvalues": [float(v) for v in res.eigenvalues],
                            "ground_manifold_dim": res.ground_manifold_dim,
@@ -333,7 +332,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [n.strip() for n in args.checks.split(",")] if args.checks else None
-    results = verify_mod.run_all(seed=args.seed, names=names)
+    results = verify_mod.run_all(names=names)
     width = max(len(r.name) for r in results)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -12,9 +12,10 @@ the blocks' values (``_union``) judges whether the ground cluster is whole.
 
 The single-qubit chain with identity development is two decoupled
 (N+1)-site hopping chains (one per column), so its exact spectrum is the
-chain level set doubled.  The closed-form characteristic determinant of one
-column is evaluated in a trigonometric form that stays finite at the band
-edges; its zeros are the chain levels for any tipping factor beta.
+chain level set doubled: one LAPACK call (``solve_tipped_levels``).  The
+closed-form characteristic determinant of one column, evaluated in a
+trigonometric form that stays finite at the band edges, stays as the
+oracle: its zeros are the chain levels for any tipping factor beta.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ CLUSTER_TOL = 1e-8  # times the energy scale (_scale)
 RESIDUAL_TOL = 1e-9
 PIVOT_TOL = 1e-10  # an inertia count with a pivot this small, times the scale, is not trusted
 INERTIA_RESIDUAL_TOL = 1e-6  # nor one whose test solve leaves a larger relative residual
-DEFAULT_SEED = 7
+DEFAULT_SEED = 7  # ARPACK's start and restart vectors; no option sets it
 # diagonal pivots in a symmetric order, so U's diagonal is the D of an LDL^H
 SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
@@ -114,7 +115,7 @@ def _shift_factor(csr, shift: float):
     return shifted, spla.splu(shifted, **SYMMETRIC_LU)
 
 
-def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
+def low_lying(H: SparseHermitian, k: int):
     """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``):
     (ascending values, vectors, LU solves run).
 
@@ -140,9 +141,10 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
     The pairs are returned as they stand, a lowest cluster filling all k
     values included: whether it is complete is for the union to judge.
     The start vector and every restart vector ARPACK asks for are drawn from
-    ``seed``, so two calls on the same H give the same pairs, bit for bit,
-    and the same LU solve count.  A k needing more Ritz values (_ritz_count)
-    than ARPACK_NEV_FRACTION of the dimension raises SolverError.
+    the constant DEFAULT_SEED, so two calls on the same H, in one process or
+    two, give the same pairs, bit for bit, and the same LU solve count.  A k
+    needing more Ritz values (_ritz_count) than ARPACK_NEV_FRACTION of the
+    dimension raises SolverError.
     """
     dim = H.dim
     if k < 1:
@@ -168,10 +170,10 @@ def low_lying(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED):
         return lu.solve(x)
 
     inverse = spla.LinearOperator((dim, dim), matvec=solve, dtype=csr.dtype)
-    v0 = np.random.default_rng(seed).standard_normal(dim).astype(csr.dtype)
+    v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(dim).astype(csr.dtype)
     try:
         vals, vecs = spla.eigsh(csr, nev, sigma=sigma, which="LM", OPinv=inverse,
-                                v0=v0, tol=tol, rng=seed)
+                                v0=v0, tol=tol, rng=DEFAULT_SEED)
     except spla.ArpackError as exc:  # includes ArpackNoConvergence
         raise ConvergenceError(f"ARPACK shift-invert failed: {exc}") from exc
     vecs = vecs[:, np.argsort(vals)[:k]]
@@ -242,8 +244,7 @@ def _levels_below(csr, tau: float, scale: float) -> int | None:
     return int(np.count_nonzero(pivots < 0))
 
 
-def _solve_block(n: int, rows, cols, vals, m: int, seed: int,
-                 operator: SparseHermitian | None = None):
+def _solve_block(n: int, rows, cols, vals, m: int, operator: SparseHermitian | None = None):
     """The m lowest eigenpairs of one block: (values, vectors, LU solves).
 
     Above DENSE_BLOCK_MAX, low_lying on ``operator`` (built if None) when
@@ -253,7 +254,7 @@ def _solve_block(n: int, rows, cols, vals, m: int, seed: int,
     way the m lowest values are exact, so the union's k lowest are too."""
     if n > DENSE_BLOCK_MAX and _ritz_count(m) <= ARPACK_NEV_FRACTION * n:
         operator = SparseHermitian(n, rows, cols, vals) if operator is None else operator
-        return low_lying(operator, m, seed=seed)
+        return low_lying(operator, m)
     if n > DENSE_DIM_CAP:
         raise SolverError(f"k={m} needs a dense solve of dimension {n}, above the "
                           f"cap {DENSE_DIM_CAP}: pass a smaller k")
@@ -290,7 +291,7 @@ def _union(dim: int, k: int, scale: float, parts) -> SpectralResult:
     return SpectralResult(union[lowest], ground, manifold, gap)
 
 
-def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> SpectralResult:
+def solve_spectrum(H: SparseHermitian, k: int) -> SpectralResult:
     """The k lowest levels of H and the eigenvectors of its ground cluster.
 
     Each connected block is asked for its min(k, size) lowest pairs, so the
@@ -354,7 +355,7 @@ def solve_spectrum(H: SparseHermitian, k: int, seed: int = DEFAULT_SEED) -> Spec
                 floors.setdefault(shape, []).append(diagonal)
                 skipped += len(copies[key])
                 continue
-        solved[key] = _solve_block(n, rows, cols, vals, min(k, n), seed, block)
+        solved[key] = _solve_block(n, rows, cols, vals, min(k, n), block)
         found += [solved[key][0]] * len(copies[key])
 
     parts = [(blocks[b][0], *solved[key][:2]) for b, key in enumerate(keys) if key in solved]
@@ -406,44 +407,22 @@ def char_det(E: float, N: int, eps: float = 1.0, beta: float = 1.0) -> float:
 def solve_tipped_levels(N: int, eps: float = 1.0, beta: float = 1.0) -> np.ndarray:
     """Exact single-qubit eigenenergies (2(N+1) values) for tipping factor beta.
 
-    Zero plus the N positive roots of the determinant bracket, each doubled
-    for the two identical column chains.  Roots are bracketed on a theta grid
-    and polished by bisection; bracketing failure raises with the grid.
+    One column's chain is eps * B^T B, where row i of the N x (N+1) bond
+    operator B is b_i e_i - e_{i-1}, with b_N = beta and every other b_i = 1.
+    Its nonzero levels are those of B B^T, the positive definite tridiagonal
+    with diagonal (2, ..., 2, 1 + beta^2) and off-diagonal -1, which LAPACK
+    pteqr solves through its bidiagonal factor to high relative accuracy
+    (Demmel and Kahan 1990), the lowest levels included.  Zero twice, and
+    each of those N levels doubled for the two identical column chains.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-    from scipy.optimize import brentq  # imported here: it is slow to load
-
-    def bracket_fn(theta):
-        return np.sin((N + 1) * theta) + (beta ** 2 - 1.0) * np.sin(N * theta)
-
-    # the bracket also vanishes at theta = pi where the determinant does not
-    # (the pole of tan(t/2) cancels it); no true root lies within pi/(N+1)
-    # of the band edge, so the search stops safely short of it.
-    theta_max = np.pi - np.pi / (4.0 * (N + 1))
-    roots: list[float] = []
-    points = 32 * (N + 1)
-    for _ in range(3):
-        grid = np.linspace(0.0, theta_max, points + 1)[1:]
-        vals = bracket_fn(grid)
-        roots = []
-        for i in range(len(grid) - 1):
-            a, b = grid[i], grid[i + 1]
-            fa, fb = vals[i], vals[i + 1]
-            if fa == 0.0:
-                roots.append(float(a))
-            elif fa * fb < 0.0:
-                roots.append(float(brentq(bracket_fn, a, b, xtol=1e-15, rtol=1e-15)))
-        if vals[-1] == 0.0:
-            roots.append(float(grid[-1]))
-        if len(roots) == N:
-            break
-        points *= 8
-    if len(roots) != N:
-        raise SolverError(
-            f"root bracketing found {len(roots)} roots, expected {N} "
-            f"(N={N}, beta={beta}, grid={points} points)")
-    energies = 2.0 * eps * (1.0 - np.cos(np.asarray(roots)))
-    return np.sort(np.concatenate([[0.0, 0.0], energies, energies]))
+    diagonal = np.full(N, 2.0)
+    diagonal[-1] = 1.0 + beta ** 2
+    # the wrapper wants one off-diagonal entry at N = 1, which LAPACK ignores
+    levels, _, _, info = sla.lapack.dpteqr(diagonal, -np.ones(max(N - 1, 1)), np.zeros((1, 1)))
+    if info != 0:
+        raise SolverError(f"LAPACK dpteqr failed with info={info} (N={N}, beta={beta})")
+    return np.sort(np.concatenate([[0.0, 0.0], np.repeat(eps * levels, 2)]))

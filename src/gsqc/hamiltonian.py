@@ -40,15 +40,15 @@ def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray
     optionally conditioned on fixed partner-qubit sites."""
     condition = dict(condition or {})
     lo, hi = 2 * (row - 1), 2 * row
-    # density part: +eps on rows row-1 and row
-    pieces = [_diagonal(basis.indices_where({**condition, qubit: [lo, lo + 1, hi, hi + 1]}),
+    stride = basis.qubit_stride(qubit)
+    sources = [basis.indices_where({**condition, qubit: lo + s}) for s in range(2)]
+    # density part: +eps on rows row-1 and row, row's sites two site-strides up
+    pieces = [_diagonal(np.concatenate(sources + [src + 2 * stride for src in sources]),
                         eps, U.dtype if np.iscomplexobj(U) else np.float64)]
     # hopping part: <to| H |from> = -eps * U[sigma, sigma'], stored as its
     # upper-triangle mirror <from| H |to> (to > from), conjugated in U's own
     # dtype so a real entry never carries a signed zero into a complex sum
-    stride = basis.qubit_stride(qubit)
-    for s_from in range(2):
-        src = basis.indices_where({**condition, qubit: lo + s_from})
+    for s_from, src in enumerate(sources):
         for s_to in range(2):
             amp = U[s_to, s_from]
             if amp == 0:

@@ -21,7 +21,7 @@ from .basis import ConfigurationBasis, enumerate_basis
 from .detection import FACTOR_ENERGY_TOL, build_report, DetectionReport
 from .errors import (ConsistencyError, IndeterminateInputError, NonFactoringOutputError,
                      ProgramError, SolverError, TruncatedClusterError)
-from .eigensolve import DEFAULT_SEED, SpectralResult, _scale, _union, solve_spectrum
+from .eigensolve import SpectralResult, _scale, _union, solve_spectrum
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
                       validate_program)
@@ -130,8 +130,7 @@ def _kron_into_basis(columns, groups, basis: ConfigurationBasis) -> np.ndarray:
     return np.transpose(tensor, np.argsort(axes)).ravel()
 
 
-def solve_program(program: Program, k: int, seed: int = DEFAULT_SEED,
-                  vectors: bool = True) -> tuple[SpectralResult, float]:
+def solve_program(program: Program, k: int, vectors: bool = True) -> tuple[SpectralResult, float]:
     """The k lowest levels of the program's H, as ``solve_spectrum`` gives
     them, and H's energy scale (its largest diagonal entry).
 
@@ -155,7 +154,7 @@ def solve_program(program: Program, k: int, seed: int = DEFAULT_SEED,
     groups = qubit_groups(program)
     if program.beta == 1.0 and len(groups) > 1:
         Hs = [assemble(restrict(program, group))[1] for group in groups]
-        parts = [solve_spectrum(H, min(k, H.dim), seed) for H in Hs]
+        parts = [solve_spectrum(H, min(k, H.dim)) for H in Hs]
         sums, combos = np.zeros(1), np.zeros((1, 0), dtype=np.int64)
         for part in parts:  # the k lowest sums, and which factor levels make each
             size = part.eigenvalues.size
@@ -176,7 +175,7 @@ def solve_program(program: Program, k: int, seed: int = DEFAULT_SEED,
                            lu_solves=sum(part.lu_solves for part in parts),
                            blocks_skipped=sum(part.blocks_skipped for part in parts)), scale
     _, H = assemble(program)
-    return solve_spectrum(H, k, seed), _scale(H)
+    return solve_spectrum(H, k), _scale(H)
 
 
 @dataclass
@@ -204,7 +203,7 @@ class RunResult:
         return float(np.abs(np.vdot(self.logical_state, ref)) ** 2)
 
 
-def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
+def run_program(program: Program) -> RunResult:
     """Solve for the ground state (``solve_program``), verify development, read output.
 
     Requires every input pinned so the ground state is unique; a ground
@@ -217,7 +216,7 @@ def run_program(program: Program, seed: int = DEFAULT_SEED) -> RunResult:
     if program.pinned_qubits() != set(range(program.num_qubits)):
         raise ProgramError("run_program requires every qubit input pinned")
     try:
-        result, scale = solve_program(program, k=2, seed=seed)
+        result, scale = solve_program(program, k=2)
     except TruncatedClusterError as exc:
         error = NonFactoringOutputError if program.readout else SolverError
         raise error("the ground level is degenerate, so the pinned program's ground "

@@ -16,8 +16,8 @@ from .basis import ConfigurationBasis, enumerate_basis
 from .bounds import upper_bound
 from .detection import (attach_readout, choose_beta, cid_sync_check,
                         infer_output_from_readout, predicted_gate_free)
-from .eigensolve import (_blocks, _scale, _solve_block, _union, analytic_levels, char_det,
-                         dense_spectrum, solve_spectrum, solve_tipped_levels)
+from .eigensolve import (DEFAULT_SEED, _blocks, _scale, _solve_block, _union, analytic_levels,
+                         char_det, dense_spectrum, solve_spectrum, solve_tipped_levels)
 from .program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from .semantics import (_random_unitary, qubit_groups, random_program, reference_circuit,
                         run_program, solve_program)
@@ -67,7 +67,7 @@ def gate_oracle_levels(N: int, j: int, eps: float = 1.0) -> np.ndarray:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_single_qubit_spectrum(seed=7):
+def check_single_qubit_spectrum():
     worst = 0.0
     for N in range(1, 9):
         prog = Program(num_qubits=1, num_steps=N)
@@ -81,7 +81,7 @@ def check_single_qubit_spectrum(seed=7):
     return worst < 1e-10, f"max deviation {worst:.2e}"
 
 
-def check_char_det_vs_dense(seed=7):
+def check_char_det_vs_dense():
     worst = 0.0
     for N in (3, 6):
         for beta in (1.0, 0.5, 0.25):
@@ -95,8 +95,8 @@ def check_char_det_vs_dense(seed=7):
     return worst < 1e-8, f"max |root mismatch / det at eigenvalue| {worst:.2e}"
 
 
-def check_gauge_invariance(seed=7):
-    rng = np.random.default_rng(seed)
+def check_gauge_invariance():
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for M, N in ((1, 4), (2, 3)):
         gates = [gate_single(i, q, _random_unitary(rng))
@@ -109,17 +109,17 @@ def check_gauge_invariance(seed=7):
     return worst < 1e-9, f"max spectral deviation {worst:.2e}"
 
 
-def check_development_residual(seed=7):
-    rng = np.random.default_rng(seed)
+def check_development_residual():
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for _ in range(5):
         prog = random_program(rng, max_qubits=2, max_steps=5, max_two_body=2)
-        res = run_program(prog, seed=seed)
+        res = run_program(prog)
         worst = max(worst, res.residual)
     return worst <= 1e-8, f"max development residual {worst:.2e}"
 
 
-def check_cnot_spectrum_oracle(seed=7):
+def check_cnot_spectrum_oracle():
     worst = 0.0
     for N in (2, 4):
         for j in range(1, N + 1):
@@ -128,7 +128,7 @@ def check_cnot_spectrum_oracle(seed=7):
     return worst < 1e-9, f"max restricted-level deviation {worst:.2e}"
 
 
-def check_gate_commutation(seed=7):
+def check_gate_commutation():
     cases = [
         (4, 3, gate_cnot(1, 0, 1), gate_cnot(3, 2, 3)),
         (3, 4, gate_cnot(1, 0, 1), gate_cnot(3, 1, 2)),
@@ -146,7 +146,7 @@ def check_gate_commutation(seed=7):
     return worst == 0.0, f"max commutator entry {worst:.2e}"
 
 
-def check_ground_manifold(seed=7):
+def check_ground_manifold():
     details = []
     grid = [
         Program(num_qubits=1, num_steps=4),
@@ -155,14 +155,14 @@ def check_ground_manifold(seed=7):
     ]
     for prog in grid:
         _, H = ham.assemble(prog)
-        result = solve_spectrum(H, k=2 ** prog.num_qubits + 1, seed=seed)
+        result = solve_spectrum(H, k=2 ** prog.num_qubits + 1)
         want = 2 ** prog.num_qubits
         if result.ground_manifold_dim != want:
             details.append(f"M={prog.num_qubits}: {result.ground_manifold_dim} != {want}")
     return not details, "; ".join(details) if details else "zero manifold is 2^M on the grid"
 
 
-def check_positive_semidefinite(seed=7):
+def check_positive_semidefinite():
     lows = []
     for prog in (
         Program(num_qubits=2, num_steps=4, gates=[gate_cnot(2, 0, 1)], tip_beta=0.5),
@@ -177,17 +177,17 @@ def check_positive_semidefinite(seed=7):
     return low >= -1e-9, f"min eigenvalue {low:.2e}"
 
 
-def check_tipped_detection(seed=7):
+def check_tipped_detection():
     worst = 0.0
     for M, N, beta in ((1, 3, 1.0), (2, 3, 0.5), (3, 3, choose_beta(3, 3))):
         prog = Program(num_qubits=M, num_steps=N, tip_beta=beta,
                        input_pins=[Pin(q, 0) for q in range(M)])
-        res = run_program(prog, seed=seed)
+        res = run_program(prog)
         worst = max(worst, abs(res.detection.p_all_final - predicted_gate_free(M, N, beta)))
     return worst < 1e-9, f"max |p_all - (1+b^2 N)^-M| {worst:.2e}"
 
 
-def check_readout_exactness(seed=7):
+def check_readout_exactness():
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     worst_energy, ok = 0.0, True
     for V in (0.1, 1.0, 10.0):
@@ -207,20 +207,20 @@ def check_readout_exactness(seed=7):
     return ok and worst_energy < 1e-9, f"ground energy {worst_energy:.2e}, bits correct: {ok}"
 
 
-def check_cid_synchronization(seed=7):
+def check_cid_synchronization():
     worst = 0.0
     for M, N in ((2, 3), (3, 4)):
         gates = [gate_cid(N - (M - 2 - k), k, k + 1) for k in range(M - 1)]
         prog = Program(num_qubits=M, num_steps=N, gates=gates,
                        input_pins=[Pin(q, 0) for q in range(M)])
         _, H = ham.assemble(prog)
-        result = solve_spectrum(H, k=2, seed=seed)
+        result = solve_spectrum(H, k=2)
         sync = cid_sync_check(result.ground_vector(), enumerate_basis(prog), prog)
         worst = max(worst, abs(sync.conditional - 1.0))
     return worst < 1e-10, f"max |conditional - 1| {worst:.2e}"
 
 
-def check_variational_upper_bound(seed=7):
+def check_variational_upper_bound():
     details = []
     for N in (2, 4):
         for j in sorted({1, max(1, N // 2), N}):
@@ -228,24 +228,24 @@ def check_variational_upper_bound(seed=7):
                 prog = Program(num_qubits=2, num_steps=N, gates=[gate_cnot(j, 0, 1)],
                                tip_beta=beta)
                 _, H = ham.assemble(prog)
-                res = solve_spectrum(H, k=5, seed=seed)
+                res = solve_spectrum(H, k=5)
                 ub = upper_bound(prog)
                 if not (0 < res.gap <= ub * (1 + 1e-12)):
                     details.append(f"N={N} j={j} beta={beta}: gap {res.gap:.4e} vs bound {ub:.4e}")
     return not details, "; ".join(details) if details else "gap within (0, bound] on the grid"
 
 
-def _solve_every_copy(H, k, seed):
+def _solve_every_copy(H, k):
     """solve_spectrum's result, solving each block on its own, identical
     copies included, and skipping none."""
     blocks = _blocks(H)
-    each = [_solve_block(members.size, rows, cols, vals, min(k, members.size), seed)
+    each = [_solve_block(members.size, rows, cols, vals, min(k, members.size))
             for members, rows, cols, vals in blocks]
     parts = [(members, e[0], e[1]) for (members, *_), e in zip(blocks, each)]
     return replace(_union(H.dim, k, _scale(H), parts), lu_solves=sum(e[2] for e in each))
 
 
-def check_block_spectrum_oracle(seed=7):
+def check_block_spectrum_oracle():
     """The block-wise solve against the whole-matrix dense oracle: levels,
     ground manifold and ground-cluster projector.  Above the dense cap,
     against solving every copy on its own: a program whose blocks come in
@@ -269,7 +269,7 @@ def check_block_spectrum_oracle(seed=7):
     details = []
     for prog, k in cases:
         _, H = ham.assemble(prog)
-        got, want = solve_spectrum(H, k=k, seed=seed), dense_spectrum(H)
+        got, want = solve_spectrum(H, k=k), dense_spectrum(H)
         if got.ground_manifold_dim != want.ground_manifold_dim:
             details.append(f"dim {H.dim}: manifold {got.ground_manifold_dim} "
                            f"!= {want.ground_manifold_dim}")
@@ -293,7 +293,7 @@ def check_block_spectrum_oracle(seed=7):
     for prog, k in ((Program(num_qubits=3, num_steps=8, gates=[gate_cnot(4, 0, 1)]), 9),
                     *((chain, 2) for chain in chains)):
         _, H = ham.assemble(prog)
-        got, want = solve_spectrum(H, k=k, seed=seed), _solve_every_copy(H, k, seed)
+        got, want = solve_spectrum(H, k=k), _solve_every_copy(H, k)
         if got.ground_manifold_dim != want.ground_manifold_dim:
             details.append(f"dim {H.dim}: manifold {got.ground_manifold_dim} "
                            f"!= {want.ground_manifold_dim} with every copy solved")
@@ -305,7 +305,7 @@ def check_block_spectrum_oracle(seed=7):
                               float(np.max(np.linalg.norm(w - v @ (v.conj().T @ w), axis=0))))
         solves.append(f"{got.lu_solves} (every copy solved: {want.lu_solves}, "
                       f"blocks skipped: {got.blocks_skipped})")
-    got = solve_spectrum(ham.assemble(Program(num_qubits=1, num_steps=1023))[1], k=400, seed=seed)
+    got = solve_spectrum(ham.assemble(Program(num_qubits=1, num_steps=1023))[1], k=400)
     worst_level = max(worst_level, np.abs(got.eigenvalues - solve_tipped_levels(1023)[:400]).max())
     solves.append(f"{got.lu_solves} (two 1024-blocks at k=400)")
     passed = not details and worst_level < 1e-10 and worst_projector < 1e-8
@@ -314,7 +314,7 @@ def check_block_spectrum_oracle(seed=7):
                                           + ", ".join(solves))
 
 
-def check_kronecker_factors(seed=7):
+def check_kronecker_factors():
     """solve_program's factor-by-factor solve of untipped programs whose
     qubits fall into several groups, against the whole H solved by
     solve_spectrum: levels, ground manifold, gap and ground-cluster span.
@@ -322,7 +322,7 @@ def check_kronecker_factors(seed=7):
     its free qubit; a readout program whose readout qubits lie in different
     groups, one of them a group of its own; and detect's gate-free M=4 row."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    u = _random_unitary(np.random.default_rng(seed))
+    u = _random_unitary(np.random.default_rng(DEFAULT_SEED))
     cases = [  # (program, k); dimensions 2744, 1000, 2048 and 10000
         (Program(num_qubits=3, num_steps=6, gates=[gate_cnot(3, 0, 1)]), 9),
         (pin_all(Program(num_qubits=3, num_steps=4,
@@ -335,9 +335,9 @@ def check_kronecker_factors(seed=7):
     worst_level = worst_gap = worst_span = 0.0
     details = []
     for prog, k in cases:
-        got, scale = solve_program(prog, k, seed)
+        got, scale = solve_program(prog, k)
         _, H = ham.assemble(prog)
-        want = solve_spectrum(H, k=k, seed=seed)
+        want = solve_spectrum(H, k=k)
         groups = len(qubit_groups(prog))
         if got.factors != groups or got.ground_manifold_dim != want.ground_manifold_dim:
             details.append(f"dim {H.dim}: {got.factors} factors of {groups} groups, manifold "
@@ -374,14 +374,14 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(seed: int = 7, names=None) -> list[CheckResult]:
+def run_all(names=None) -> list[CheckResult]:
     results = []
     for name, fn in ALL_CHECKS:
         if names and name not in names:
             continue
         start = time.perf_counter()
         try:
-            passed, detail = fn(seed=seed)
+            passed, detail = fn()
         except Exception as exc:  # a crash is a failure with the exception named
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, passed=bool(passed), detail=detail,

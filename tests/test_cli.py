@@ -391,7 +391,8 @@ def test_gap_scan_never_raises(m, n_min, n_max, gate, j, beta, k):
 
 @pytest.mark.parametrize("argv", [["run", "--k", "3"], ["run", "--format", "json"],
                                   ["detect", "--k", "3"], ["verify", "--out", "x"],
-                                  ["verify", "--dense-cutoff", "64"], ["run", "--tol", "0"]])
+                                  ["verify", "--dense-cutoff", "64"], ["run", "--tol", "0"],
+                                  ["run", "--seed", "3"]])
 def test_command_rejects_option_it_does_not_read(not_program, argv):
     if argv[0] == "run":
         argv = argv + ["--program", not_program]
@@ -410,22 +411,22 @@ def test_spectrum_json(not_program, capsys):
 def test_show_config(capsys):
     assert main(["gap-scan", "--show-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["seed"] == 7
+    assert doc["m"] == 1 and "seed" not in doc
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 11, "k": 5}))
-    assert main(["gap-scan", "--config", str(cfg), "--seed", "3", "--show-config"]) == 0
+    cfg.write_text(json.dumps({"m": 4, "k": 5}))
+    assert main(["gap-scan", "--config", str(cfg), "--m", "3", "--show-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["seed"] == 3  # flag wins
+    assert doc["m"] == 3  # flag wins
     assert doc["k"] == 5  # file beats default
 
 
-@pytest.mark.parametrize("key", ["bogus", "dense-cutoff", "tol"])
+@pytest.mark.parametrize("key", ["bogus", "dense-cutoff", "tol", "seed"])
 def test_config_file_unknown_key_exit_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 11, key: 1}))
+    cfg.write_text(json.dumps({"k": 5, key: 1}))
     assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 2
     assert key.replace("-", "_") in capsys.readouterr().err
 
@@ -460,7 +461,7 @@ def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
     assert main(["gap-scan", "--show-config"]) == 0
     plain = json.loads(capsys.readouterr().out)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 11, "k": 5, "m": 3}))
+    cfg.write_text(json.dumps({"k": 5, "m": 3}))
     assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 0
     assert json.loads(capsys.readouterr().out)["m"] == 3
     assert main(["gap-scan", "--show-config"]) == 0
@@ -475,7 +476,7 @@ def test_parser_built_once_per_process(not_program, capsys):
 
 
 def test_import_cli_does_not_load_scipy_optimize():
-    # scipy.optimize is slow to load, and only solve_tipped_levels needs it
+    # scipy.optimize is slow to load, and nothing in gsqc imports it
     src = str(Path(gsqc.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import gsqc.cli, sys; assert 'scipy.optimize' not in sys.modules"
