@@ -69,9 +69,10 @@ class GapBounds:
     gap: float
     upper: float
     alpha_empirical: float      # gap * (N+1)^4, the lower-bound-form constant
+    epsilon: float              # the program's energy scale, which sets the slack's floor
 
     def satisfied(self) -> bool:
-        return 0.0 <= self.gap <= self.upper * (1.0 + 1e-12) + 1e-12
+        return 0.0 <= self.gap <= self.upper * (1.0 + 1e-12) + 1e-12 * self.epsilon
 
 
 def check_bounds(program: Program, gap: float) -> GapBounds:
@@ -84,7 +85,8 @@ def check_bounds(program: Program, gap: float) -> GapBounds:
         raise ValueError(f"gap must be >= 0, got {gap!r}")
     ub = upper_bound(program)
     N = program.num_steps
-    bounds = GapBounds(gap=gap, upper=ub, alpha_empirical=gap * (N + 1) ** 4)
+    bounds = GapBounds(gap=gap, upper=ub, alpha_empirical=gap * (N + 1) ** 4,
+                       epsilon=program.epsilon)
     if not bounds.satisfied():
         raise BoundViolationError(
             f"measured gap {gap:.6e} exceeds variational upper bound {ub:.6e} "

@@ -204,15 +204,16 @@ def _blocks(H: SparseHermitian):
         return [(np.arange(dim), H.rows, H.cols, H.vals)]
     members = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=count)
+    ends = np.cumsum(sizes)
     local = np.empty(dim, dtype=np.int64)
-    local[members] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local[members] = np.arange(dim) - np.repeat(ends - sizes, sizes)
     entry_block = labels[H.rows]
     entries = np.argsort(entry_block, kind="stable")
-    cuts = np.cumsum(np.bincount(entry_block, minlength=count))[:-1]
-    return list(zip(np.split(members, np.cumsum(sizes)[:-1]),
-                    np.split(local[H.rows[entries]], cuts),
-                    np.split(local[H.cols[entries]], cuts),
-                    np.split(H.vals[entries], cuts)))
+    rows, cols, vals = local[H.rows[entries]], local[H.cols[entries]], H.vals[entries]
+    m_cuts = [0] + ends.tolist()
+    e_cuts = [0] + np.cumsum(np.bincount(entry_block, minlength=count)).tolist()
+    return [(members[m0:m1], rows[e0:e1], cols[e0:e1], vals[e0:e1])
+            for m0, m1, e0, e1 in zip(m_cuts, m_cuts[1:], e_cuts, e_cuts[1:])]
 
 
 def _levels_below(csr, tau: float, scale: float) -> int | None:

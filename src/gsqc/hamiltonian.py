@@ -34,28 +34,42 @@ def _term(pieces) -> tuple:
     return tuple(map(np.concatenate, zip(*pieces)))
 
 
-def _bond_entries(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray,
-                  eps: float, condition: dict | None = None) -> list:
-    """Coordinate pieces of the row (row-1 <-> row) bond on one qubit,
-    optionally conditioned on fixed partner-qubit sites."""
-    condition = dict(condition or {})
+def _bond_entries(base: np.ndarray, stride: int, row: int, U: np.ndarray,
+                  eps: float) -> tuple:
+    """(rows, cols, vals) of the row (row-1 <-> row) bond on one qubit.
+
+    ``base`` holds the configurations that meet the bond's condition with the
+    qubit at site 0, and ``stride`` is the qubit's axis stride: each piece is
+    the base shifted by a site offset, so the whole bond is one broadcast.
+    """
     lo, hi = 2 * (row - 1), 2 * row
-    stride = basis.qubit_stride(qubit)
-    sources = [basis.indices_where({**condition, qubit: lo + s}) for s in range(2)]
-    # density part: +eps on rows row-1 and row, row's sites two site-strides up
-    pieces = [_diagonal(np.concatenate(sources + [src + 2 * stride for src in sources]),
-                        eps, U.dtype if np.iscomplexobj(U) else np.float64)]
+    # density part: +eps on the four sites of rows row-1 and row
+    row_sites = [lo, lo + 1, hi, hi + 1]
+    col_sites = list(row_sites)
+    vals = [eps] * 4
     # hopping part: <to| H |from> = -eps * U[sigma, sigma'], stored as its
     # upper-triangle mirror <from| H |to> (to > from), conjugated in U's own
     # dtype so a real entry never carries a signed zero into a complex sum
-    for s_from, src in enumerate(sources):
+    for s_from in range(2):
         for s_to in range(2):
             amp = U[s_to, s_from]
-            if amp == 0:
-                continue
-            dst = src + (hi + s_to - (lo + s_from)) * stride
-            pieces.append((src, dst, np.full(src.size, np.conj(-eps * amp))))
-    return pieces
+            if amp != 0:
+                row_sites.append(lo + s_from)
+                col_sites.append(hi + s_to)
+                vals.append(np.conj(-eps * amp))
+
+    def shifted(sites):
+        return (np.array(sites, dtype=np.int64)[:, None] * stride + base).ravel()
+
+    vals = np.array(vals, dtype=U.dtype if np.iscomplexobj(U) else np.float64)
+    return shifted(row_sites), shifted(col_sites), np.repeat(vals, base.size)
+
+
+def _bond(basis: ConfigurationBasis, qubit: int, row: int, U: np.ndarray, eps: float,
+          condition: dict | None = None) -> tuple:
+    """The bond on one qubit, optionally conditioned on fixed partner-qubit sites."""
+    base = basis.indices_where({**(condition or {}), qubit: 0})
+    return _bond_entries(base, basis.qubit_stride(qubit), row, U, eps)
 
 
 def single_step_term(basis: ConfigurationBasis, qubit: int, row: int, matrix,
@@ -68,7 +82,7 @@ def single_step_term(basis: ConfigurationBasis, qubit: int, row: int, matrix,
     if not (1 <= row <= basis.num_steps):
         raise ValueError(f"row {row} outside 1..{basis.num_steps}")
     U = check_unitary(matrix)
-    return _term(_bond_entries(basis, qubit, row, U, eps))
+    return _bond(basis, qubit, row, U, eps)
 
 
 def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: int,
@@ -86,14 +100,12 @@ def _two_body_term(basis: ConfigurationBasis, control: int, target: int, row: in
     if control == target:
         raise ValueError("control and target must differ")
     lo, hi = 2 * (row - 1), 2 * row
-    pieces = []
     # control advances (identity) while the target waits at row-1
-    for col_t in range(2):
-        pieces += _bond_entries(basis, control, row, _IDENTITY, eps,
-                                condition={target: lo + col_t})
+    pieces = [_bond(basis, control, row, _IDENTITY, eps, condition={target: lo + col_t})
+              for col_t in range(2)]
     # target advances through the branch unitary selected by the control column
-    for col_c, U in enumerate(branch_unitaries):
-        pieces += _bond_entries(basis, target, row, U, eps, condition={control: hi + col_c})
+    pieces += [_bond(basis, target, row, U, eps, condition={control: hi + col_c})
+               for col_c, U in enumerate(branch_unitaries)]
     # penalty: target at the gate row while the control is still at row-1
     pieces.append(_diagonal(basis.indices_where({control: [lo, lo + 1], target: [hi, hi + 1]}),
                             eps))
@@ -147,24 +159,20 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
                         cond = dict(partner)
                         if gL.target != gE.target:
                             cond[gL.target] = _region_sites(basis, 0, jL)
-                        pieces = _bond_entries(basis, q, jL, _IDENTITY, eps, condition=cond)
+                        term = _bond(basis, q, jL, _IDENTITY, eps, condition=cond)
                     else:
                         # q is the later gate's target: copy its conditional bond
-                        pieces = []
-                        for chi, U in enumerate(_BRANCH_UNITARIES[gL.kind]):
-                            pieces += _bond_entries(
-                                basis, q, jL, U, eps,
-                                condition={**partner, gL.control: 2 * jL + chi})
+                        term = _term([_bond(basis, q, jL, U, eps,
+                                            condition={**partner, gL.control: 2 * jL + chi})
+                                      for chi, U in enumerate(_BRANCH_UNITARIES[gL.kind])])
                 else:
-                    pieces = _bond_entries(basis, q, jL, _IDENTITY, eps,
-                                           condition={gE.control: below_E})
-                yield (f"sync[q{q},j{jE}->j{jL}]", _term(pieces))
+                    term = _bond(basis, q, jL, _IDENTITY, eps, condition={gE.control: below_E})
+                yield (f"sync[q{q},j{jE}->j{jL}]", term)
                 # advanced later gate: re-enforce q's earlier bond
                 if q == gL.control:
                     at_or_above = _region_sites(basis, jL, N + 1)
-                    pieces = _bond_entries(basis, q, jE, _IDENTITY, eps,
-                                           condition={gL.target: at_or_above})
-                    yield (f"sync[q{q},j{jL}<-j{jE}]", _term(pieces))
+                    yield (f"sync[q{q},j{jL}<-j{jE}]",
+                           _bond(basis, q, jE, _IDENTITY, eps, condition={gL.target: at_or_above}))
         # widened control-bond: a retargeted qubit can wait strictly below
         # row j-1, leaving the local conditioning without support
         for g in two_body:
@@ -174,9 +182,8 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
             if not earlier:
                 continue
             strict_below = _region_sites(basis, 0, g.row - 1)
-            pieces = _bond_entries(basis, g.control, g.row, _IDENTITY, eps,
-                                   condition={q: strict_below})
-            yield (f"sync[wide,q{g.control},j{g.row}]", _term(pieces))
+            yield (f"sync[wide,q{g.control},j{g.row}]",
+                   _bond(basis, g.control, g.row, _IDENTITY, eps, condition={q: strict_below}))
 
 
 def pin_term(basis: ConfigurationBasis, qubit: int, bit: int, strength: float) -> tuple:
@@ -221,11 +228,13 @@ def assemble(program: Program) -> tuple[TermSet, SparseHermitian]:
 
     owned = set(program.two_body_slots())
     for q in range(program.num_qubits):
+        # every gate-free bond of the qubit shifts the same base
+        base, stride = basis.indices_where({q: 0}), basis.qubit_stride(q)
         for i in range(1, program.num_steps + 1):
             if (q, i) in owned:
                 continue
             U = singles.get((q, i), _IDENTITY)
-            terms.add(f"h[q{q},i{i}]", _term(_bond_entries(basis, q, i, U, eps)))
+            terms.add(f"h[q{q},i{i}]", _bond_entries(base, stride, i, U, eps))
     two_body = {"cnot": cnot_term, "cid": cid_term}
     for g in program.gates:
         if g.kind in two_body:

@@ -13,14 +13,17 @@ class SparseHermitian:
     Entries handed to the constructor may lie in either triangle: lower
     entries are conjugate-mirrored, duplicates are summed in input order, and
     coordinates end up strictly increasing in (row, col), the canonical form
-    that ``dump`` and the block split read.  The full matrix is materialized
-    lazily for products.
+    that ``dump`` and the block split read.  They are sorted on the int64 key
+    row * dim + col, so ``dim`` must keep dim^2 - 1 within int64.  The full
+    matrix is materialized lazily for products.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals", "_csr")
 
     def __init__(self, dim: int, rows=(), cols=(), vals=()):
         self.dim = int(dim)
+        if self.dim * self.dim > 2 ** 63:  # int64 arithmetic would wrap without a warning
+            raise ValueError(f"dimension {self.dim} too large for an int64 sort key")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals)
@@ -35,7 +38,9 @@ class SparseHermitian:
                 raise ValueError(f"coordinates must lie in 0..{self.dim - 1}")
             # row-major order; the sort is stable, so each run of equal
             # coordinates is summed in input order
-            order = np.lexsort((cols, rows))
+            key = rows * self.dim + cols
+            order = np.argsort(key, kind="stable")
+            del key
             rows, cols, vals = rows[order], cols[order], vals[order]
             del order  # caps the peak at three full-size copies
             first = np.ones(vals.size, dtype=bool)
@@ -118,20 +123,22 @@ class TermSet:
     def total(self, drop_tol: float = 0.0) -> SparseHermitian:
         """Sum every term in one canonicalization, tip the sum, drop tiny entries.
 
-        Tipping and the drop act on the canonical sum's arrays; one more build
-        demotes the result to real when only real entries survive.
+        Tipping and the drop act on the canonical sum's arrays; one more build,
+        only when they changed them, demotes the result to real when only real
+        entries survive.
         """
         # the leading empty piece keeps a set without terms valid
         pieces = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
         pieces += [term for _, term in self.terms]
         out = SparseHermitian(self.basis.dim, *map(np.concatenate, zip(*pieces)))
-        if self.beta == 1.0 and drop_tol <= 0.0:
-            return out
         rows, cols, vals = out.rows, out.cols, out.vals
-        if self.beta != 1.0:
+        changed = self.beta != 1.0
+        if changed:
             scale = self.beta ** self.basis.final_row_weight().astype(float)
             vals = vals * scale[rows] * scale[cols]
         if drop_tol > 0.0:
             keep = np.abs(vals) > drop_tol
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        return SparseHermitian(self.basis.dim, rows, cols, vals)
+            if not keep.all():
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+                changed = True
+        return SparseHermitian(self.basis.dim, rows, cols, vals) if changed else out

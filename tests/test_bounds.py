@@ -111,6 +111,16 @@ def test_check_bounds_raises_on_violation():
         check_bounds(prog, gap=1.0)
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1.0, 1e9])
+def test_bound_slack_scales_with_epsilon(eps):
+    prog = Program(num_qubits=2, num_steps=4, gates=[gate_cnot(2, 0, 1)], epsilon=eps)
+    upper = upper_bound(prog)
+    assert upper == pytest.approx(eps / 6.0)
+    assert check_bounds(prog, upper).satisfied()
+    with pytest.raises(BoundViolationError, match="exceeds"):
+        check_bounds(prog, 1.01 * upper)
+
+
 def test_alpha_floor_positive_across_family():
     alphas = []
     for n in range(2, 8):

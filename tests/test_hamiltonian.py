@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 import gsqc.hamiltonian
 import gsqc.program
 from gsqc.basis import ConfigurationBasis, enumerate_basis
+from gsqc.detection import attach_readout
 from gsqc.eigensolve import dense_spectrum
 from gsqc.errors import ProgramError
-from gsqc.hamiltonian import (ENTRY_DROP_REL, assemble, cid_term, cnot_term, pin_term,
-                              readout_term, single_step_term)
-from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single
+from gsqc.hamiltonian import (ENTRY_DROP_REL, assemble, chain_sync_terms, cid_term, cnot_term,
+                              pin_term, readout_term, single_step_term)
+from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single, validate_program
 from gsqc.semantics import random_program
 from gsqc.sparse import SparseHermitian
 from gsqc.verify import gate_oracle_levels, restricted_gate_spectrum
@@ -294,14 +295,28 @@ def test_assemble_sum_of_terms_equals_total():
         assert np.array_equal(getattr(resum, name), getattr(H, name))
 
 
-@pytest.mark.parametrize("program, term_count", [
-    (Program(num_qubits=1, num_steps=1), 1),
-    (Program(num_qubits=3, num_steps=4,
-             gates=[gate_single(1, 2, np.diag([1.0, 1j])), gate_cnot(2, 0, 1),
-                    gate_cid(3, 1, 2), gate_cnot(4, 0, 2)],
-             input_pins=[Pin(0, 1), Pin(2, 0)], readout=[1], tip_beta=0.5), 18),
+# i * Rx(pi) built numerically: NOT, with 6e-17j on its diagonal, whose
+# hopping entries the drop removes, leaving only real entries
+_I_RX_PI = 1j * np.array([[np.cos(np.pi / 2), -1j * np.sin(np.pi / 2)],
+                          [-1j * np.sin(np.pi / 2), np.cos(np.pi / 2)]])
+
+
+@pytest.mark.parametrize("program, term_count, build_count, is_real", [
+    # untipped and nothing dropped: the first build is the operator
+    pytest.param(Program(num_qubits=1, num_steps=1), 1, 1, True, id="program0-1"),
+    # tipped: one more build after the tipping
+    pytest.param(Program(num_qubits=3, num_steps=4,
+                         gates=[gate_single(1, 2, np.diag([1.0, 1j])), gate_cnot(2, 0, 1),
+                                gate_cid(3, 1, 2), gate_cnot(4, 0, 2)],
+                         input_pins=[Pin(0, 1), Pin(2, 0)], readout=[1], tip_beta=0.5),
+                 18, 2, False, id="program1-18"),
+    # untipped, the drop removes entries: one more build, which demotes to real
+    pytest.param(Program(num_qubits=2, num_steps=3,
+                         gates=[gate_single(1, 1, _I_RX_PI), gate_cnot(2, 0, 1)]),
+                 5, 2, True, id="program2-5"),
 ])
-def test_assemble_builds_two_operators_whatever_the_term_count(program, term_count, monkeypatch):
+def test_assemble_builds_two_operators_whatever_the_term_count(program, term_count, build_count,
+                                                               is_real, monkeypatch):
     real_init = SparseHermitian.__init__
     builds = []
 
@@ -310,8 +325,9 @@ def test_assemble_builds_two_operators_whatever_the_term_count(program, term_cou
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseHermitian, "__init__", counted)
-    terms, _ = assemble(program)
-    assert len(terms.terms) == term_count and len(builds) == 2
+    terms, H = assemble(program)
+    assert len(terms.terms) == term_count and len(builds) == build_count
+    assert H.is_complex != is_real
 
 
 def test_assemble_checks_each_gate_matrix_once(monkeypatch):
@@ -393,3 +409,83 @@ def test_golden_tipped_complex_readout_dump():
     assert H.is_complex and H.nnz < terms.total().nnz
     expected = (GOLDEN / "h_m2_n3_tipped_complex_readout.txt").read_text()
     assert H.dump() == expected
+
+
+def test_golden_sync_custom_strengths_dump():
+    # untipped and nothing dropped, so the first build is H: it sums unequal
+    # duplicates (pin 0.7, readout 1.3, densities 2.7) and sync terms
+    t = 0.3
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    prog = Program(num_qubits=2, num_steps=3, epsilon=2.7,
+                   gates=[gate_single(1, 0, rot), gate_cnot(2, 0, 1), gate_cid(3, 1, 0)],
+                   input_pins=[Pin(0, 0, strength=0.7), Pin(1, 1)], readout=[0, 1],
+                   readout_strength=1.3)
+    terms, H = assemble(prog)
+    assert sum(label.startswith("sync") for label, _ in terms.terms) == 4
+    expected = (GOLDEN / "h_m2_n3_sync_custom_strengths.txt").read_text()
+    assert H.dump() == expected
+
+
+# -- the term stream against a per-bond reference ------------------------------
+
+
+def _reference_bond(basis, qubit, row, U, eps, condition=None):
+    """One bond built piece by piece: an index set per source site, in piece order."""
+    condition = dict(condition or {})
+    lo, hi = 2 * (row - 1), 2 * row
+    stride = basis.qubit_stride(qubit)
+    sources = [basis.indices_where({**condition, qubit: lo + s}) for s in range(2)]
+    density = np.concatenate(sources + [src + 2 * stride for src in sources])
+    dtype = U.dtype if np.iscomplexobj(U) else np.float64
+    pieces = [(density, density, np.full(density.size, eps, dtype=dtype))]
+    for s_from, src in enumerate(sources):
+        for s_to in range(2):
+            amp = U[s_to, s_from]
+            if amp != 0:
+                dst = src + (hi + s_to - (lo + s_from)) * stride
+                pieces.append((src, dst, np.full(src.size, np.conj(-eps * amp))))
+    return tuple(map(np.concatenate, zip(*pieces)))
+
+
+def _reference_terms(program):
+    """assemble's (label, term) list with every bond, gated or not, from _reference_bond."""
+    singles = validate_program(program)
+    basis = enumerate_basis(program)
+    eps, M, N = program.epsilon, program.num_qubits, program.num_steps
+    owned = set(program.two_body_slots())
+    terms = [(f"h[q{q},i{i}]", _reference_bond(basis, q, i, singles.get((q, i), I2), eps))
+             for q in range(M) for i in range(1, N + 1) if (q, i) not in owned]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gsqc.hamiltonian, "_bond", _reference_bond)
+        two_body = {"cnot": cnot_term, "cid": cid_term}
+        terms += [(f"{g.kind}[j{g.row},c{g.control},t{g.target}]",
+                   two_body[g.kind](basis, g.control, g.target, g.row, eps))
+                  for g in program.gates if g.kind in two_body]
+        terms += list(chain_sync_terms(basis, program.gates, eps))
+    terms += [(f"pin[q{p.qubit}]", pin_term(basis, p.qubit, p.bit,
+                                            eps if p.strength is None else p.strength))
+              for p in program.input_pins]
+    V = eps if program.readout_strength is None else program.readout_strength
+    return terms + [(f"readout[q{q}]", readout_term(basis, q, V)) for q in program.readout]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pool=st.sampled_from(["orthogonal", "unitary", "permutation"]),
+       kind=st.sampled_from(["cnot", "cid"]), pinned=st.booleans(),
+       pin_strength=st.none() | st.sampled_from([0.7, 3.0]),
+       readout_strength=st.none() | st.sampled_from([1.3, 0.25]),
+       epsilon=st.sampled_from([1.0, 2.7, 1e-3]), beta=st.none() | st.sampled_from([0.5, 0.9]))
+def test_assemble_term_stream_matches_per_bond_reference(seed, pool, kind, pinned, pin_strength,
+                                                         readout_strength, epsilon, beta):
+    prog = random_program(np.random.default_rng(seed), max_qubits=3, max_steps=4,
+                          max_two_body=3, gate_pool=pool, two_body_kind=kind, pin=pinned)
+    prog = replace(prog, epsilon=epsilon, tip_beta=beta,
+                   input_pins=[replace(p, strength=pin_strength) for p in prog.input_pins])
+    if readout_strength is not None:
+        prog = attach_readout(prog, strength=readout_strength)
+    got, want = assemble(prog)[0].terms, _reference_terms(prog)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, term), (_, ref) in zip(got, want):
+        for a, b in zip(term, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), label

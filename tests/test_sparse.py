@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,19 @@ def test_duplicates_are_summed_in_input_order():
 def test_coordinates_outside_dimension_rejected(rows, cols):
     with pytest.raises(ValueError, match="coordinates"):
         SparseHermitian(3, rows=rows, cols=cols, vals=np.ones(len(rows)))
+
+
+def test_dimension_whose_sort_key_overflows_int64_rejected():
+    # entries sort on row * dim + col, whose largest value dim^2 - 1 must fit int64;
+    # numpy wraps int64 products without a warning
+    top = math.isqrt(2 ** 63)
+    corner = SparseHermitian(top, rows=[top - 1, 0, top - 1], cols=[top - 1, top - 1, 0],
+                             vals=[1.0, 2.0, 0.5])
+    assert corner.rows.tolist() == [0, top - 1] and corner.cols.tolist() == [top - 1, top - 1]
+    assert corner.vals.tolist() == [2.5, 1.0]
+    for dim in (top + 1, 2 ** 32):
+        with pytest.raises(ValueError, match="int64"):
+            SparseHermitian(dim)
 
 
 def test_termset_sum():
