@@ -4,11 +4,14 @@ The history Hamiltonian is block-diagonal: hopping and gate terms connect
 only some configurations.  ``solve_spectrum`` finds the connected blocks on
 the sparsity pattern and solves each on its own, by size (``_solve_block``
 alone decides): shift-invert Lanczos (``low_lying``) on a large block, and
-otherwise LAPACK.  A large block that Sylvester's law of inertia shows to
-hold no level below the k lowest found so far is skipped, and so is one
-that differs from a block so skipped only by a larger diagonal (Weyl's
-monotonicity theorem puts its levels no lower).  Only the union of
-the blocks' values (``_union``) judges whether the ground cluster is whole.
+otherwise LAPACK.  A large block after the first that Sylvester's law of
+inertia shows to hold no level below the k lowest found so far is skipped,
+and so is one that differs from a block so skipped only by a larger
+diagonal (Weyl's monotonicity theorem puts its levels no lower).  Within
+one call, each sparsity pattern's fill-reducing order is computed once, by
+SuperLU on its first factorization, and every later factorization of that
+pattern reuses it.  Only the union of the blocks' values (``_union``)
+judges whether the ground cluster is whole.
 
 The single-qubit chain with identity development is two decoupled
 (N+1)-site hopping chains (one per column), so its exact spectrum is the
@@ -52,8 +55,10 @@ class SpectralResult:
     column per member.  ``lu_solves`` counts the shift-invert LU solves
     actually run: an identical copy of a solved block adds none, and neither
     does a skipped block; ``blocks_skipped`` counts those, copies included.
-    ``factors`` counts the Kronecker factors of a program solved one by one
-    (``semantics.solve_program``), 1 for a solve of the whole H.
+    ``factorizations`` counts the sparse LU factorizations actually run,
+    Lanczos and inertia tests alike; a copy or a block skipped unfactored
+    adds none.  ``factors`` counts the Kronecker factors of a program solved
+    one by one (``semantics.solve_program``), 1 for a solve of the whole H.
     """
 
     eigenvalues: np.ndarray
@@ -62,6 +67,7 @@ class SpectralResult:
     gap: float | None
     lu_solves: int = 0
     blocks_skipped: int = 0
+    factorizations: int = 0
     factors: int = 1
 
     @property
@@ -109,13 +115,36 @@ def _ritz_count(k: int) -> int:
     return k + max(4, k // 2)
 
 
-def _shift_factor(csr, shift: float):
-    """csr - shift, and its SYMMETRIC_LU factors (RuntimeError on a zero pivot)."""
+def _shift_factor(csr, shift: float, orders: dict | None = None):
+    """csr - shift, its SYMMETRIC_LU factors, and a solve with them in csr's
+    own index order (RuntimeError on a zero pivot).
+
+    ``orders`` maps the sparsity pattern of each matrix factored so far to
+    the symmetric column order SuperLU chose for it, argsort(perm_c).  A
+    pattern met again is permuted to that order, P (csr - shift) P^T, and
+    factored in its natural order with the same diagonal pivoting, so its
+    fill-reducing order is not derived again; the solve maps through P.
+    """
     shifted = sp.csc_matrix(csr - shift * sp.identity(csr.shape[0], dtype=csr.dtype, format="csc"))
-    return shifted, spla.splu(shifted, **SYMMETRIC_LU)
+    orders = {} if orders is None else orders
+    pattern = (shifted.indptr.tobytes(), shifted.indices.tobytes())
+    order = orders.get(pattern)
+    if order is None:
+        lu = spla.splu(shifted, **SYMMETRIC_LU)
+        orders[pattern] = np.argsort(lu.perm_c)
+        return shifted, lu, lu.solve
+    lu = spla.splu(shifted[order][:, order], **dict(SYMMETRIC_LU, permc_spec="NATURAL"))
+
+    def solve(rhs):
+        permuted = lu.solve(rhs[order])
+        x = np.empty_like(permuted)
+        x[order] = permuted
+        return x
+
+    return shifted, lu, solve
 
 
-def low_lying(H: SparseHermitian, k: int):
+def low_lying(H: SparseHermitian, k: int, orders: dict | None = None):
     """k smallest eigenpairs by ARPACK shift-invert Lanczos (``eigsh``):
     (ascending values, vectors, LU solves run).
 
@@ -144,7 +173,7 @@ def low_lying(H: SparseHermitian, k: int):
     the constant DEFAULT_SEED, so two calls on the same H, in one process or
     two, give the same pairs, bit for bit, and the same LU solve count.  A k
     needing more Ritz values (_ritz_count) than ARPACK_NEV_FRACTION of the
-    dimension raises SolverError.
+    dimension raises SolverError.  ``orders`` is _shift_factor's.
     """
     dim = H.dim
     if k < 1:
@@ -156,7 +185,7 @@ def low_lying(H: SparseHermitian, k: int):
     csr, scale = H.to_csr(), _scale(H)
     sigma = -CLUSTER_TOL * scale
     try:
-        shifted, lu = _shift_factor(csr, sigma)
+        shifted, _, lu_solve = _shift_factor(csr, sigma, orders)
     except RuntimeError as exc:
         raise ConvergenceError(f"shift-invert factorization failed: {exc}") from exc
     bar = RESIDUAL_TOL * scale
@@ -167,7 +196,7 @@ def low_lying(H: SparseHermitian, k: int):
     def solve(x):
         nonlocal solves
         solves += 1
-        return lu.solve(x)
+        return lu_solve(x)
 
     inverse = spla.LinearOperator((dim, dim), matvec=solve, dtype=csr.dtype)
     v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(dim).astype(csr.dtype)
@@ -216,7 +245,7 @@ def _blocks(H: SparseHermitian):
             for m0, m1, e0, e1 in zip(m_cuts, m_cuts[1:], e_cuts, e_cuts[1:])]
 
 
-def _levels_below(csr, tau: float, scale: float) -> int | None:
+def _levels_below(csr, tau: float, scale: float, orders: dict | None = None) -> int | None:
     """How many eigenvalues of a block lie below tau, or None when the count
     cannot be trusted.
 
@@ -228,34 +257,37 @@ def _levels_below(csr, tau: float, scale: float) -> int | None:
     order, no pivot is within PIVOT_TOL * scale of zero, and a solve with
     the factors has a relative residual below INERTIA_RESIDUAL_TOL.  That
     residual is about the factors' backward error over the distance from
-    tau to the nearest eigenvalue, the ratio that must be small.
+    tau to the nearest eigenvalue, the ratio that must be small.  Factored in
+    a reused order (``orders``, _shift_factor's), the pivots are those of
+    P (B - tau) P^T, congruent to B - tau, so they count the same levels.
     """
     n = csr.shape[0]
     try:
-        shifted, lu = _shift_factor(csr, tau)
+        shifted, lu, lu_solve = _shift_factor(csr, tau, orders)
     except RuntimeError:  # an exactly zero pivot
         return None
     pivots = lu.U.diagonal().real
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.min(np.abs(pivots)) <= PIVOT_TOL * scale:
         return None
     rhs = np.random.default_rng(n).standard_normal(n).astype(csr.dtype)
-    x = lu.solve(rhs)
+    x = lu_solve(rhs)
     if not np.linalg.norm(shifted @ x - rhs) <= INERTIA_RESIDUAL_TOL * np.linalg.norm(rhs):
         return None
     return int(np.count_nonzero(pivots < 0))
 
 
-def _solve_block(n: int, rows, cols, vals, m: int, operator: SparseHermitian | None = None):
+def _solve_block(n: int, rows, cols, vals, m: int, operator: SparseHermitian | None = None,
+                 orders: dict | None = None):
     """The m lowest eigenpairs of one block: (values, vectors, LU solves).
 
     Above DENSE_BLOCK_MAX, low_lying on ``operator`` (built if None) when
-    m's Ritz count fits in ARPACK_NEV_FRACTION of n.  Else LAPACK: on m
-    values if TINY_BLOCK_MAX < n <= DENSE_BLOCK_MAX, else on the whole
-    block, faster there, up to DENSE_DIM_CAP (SolverError above).  Either
-    way the m lowest values are exact, so the union's k lowest are too."""
+    m's Ritz count fits in ARPACK_NEV_FRACTION of n, with ``orders``.  Else
+    LAPACK: on m values if TINY_BLOCK_MAX < n <= DENSE_BLOCK_MAX, else on
+    the whole block, faster there, up to DENSE_DIM_CAP (SolverError above).
+    Either way the m lowest values are exact, so the union's k lowest are too."""
     if n > DENSE_BLOCK_MAX and _ritz_count(m) <= ARPACK_NEV_FRACTION * n:
         operator = SparseHermitian(n, rows, cols, vals) if operator is None else operator
-        return low_lying(operator, m)
+        return low_lying(operator, m, orders)
     if n > DENSE_DIM_CAP:
         raise SolverError(f"k={m} needs a dense solve of dimension {n}, above the "
                           f"cap {DENSE_DIM_CAP}: pass a smaller k")
@@ -302,17 +334,25 @@ def solve_spectrum(H: SparseHermitian, k: int) -> SpectralResult:
 
     Distinct blocks are solved in a cheap order: the dense ones first, then
     the large ones by ascending 1^T B 1 / n, the all-ones Rayleigh quotient,
-    an upper bound on the lowest level.  Once the solved blocks, copies
-    counted, hold k values, a large block is first factored at tau, their
-    k-th lowest plus CLUSTER_TOL * scale.  A trusted count of no level below
-    tau (_levels_below) means it cannot change the k lowest, so it is
-    skipped with its copies.  A later block with the same size, coordinates
-    and off-diagonal values as a block so skipped, and a diagonal at least
-    as large at every entry, is skipped unfactored: by Weyl's monotonicity
-    theorem its lowest level is at least that block's, which was at least
-    tau then, and tau only falls as blocks are solved.  A larger diagonal
-    also gives a larger order key, so the dominated block comes first.  The
-    union is taken in block order, so the solve order changes only the cost.
+    an upper bound on the lowest level.  The first large block in that
+    order is solved untested: it is the likeliest to hold one of the k
+    lowest, so a test there would mostly be a second factorization.  Once
+    the solved blocks, copies counted, hold k values, every later large
+    block is first factored at tau, their k-th lowest plus CLUSTER_TOL *
+    scale.  A trusted count of no level below tau (_levels_below) means it
+    cannot change the k lowest, so it is skipped with its copies.  A later
+    block with the same size, coordinates and off-diagonal values as a
+    block so skipped, and a diagonal at least as large at every entry, is
+    skipped unfactored: by Weyl's monotonicity theorem its lowest level is
+    at least that block's, which was at least tau then, and tau only falls
+    as blocks are solved.  A larger diagonal also gives a larger order key,
+    so the dominated block comes first.  The union is taken in block order,
+    so the solve order changes only the cost.
+
+    Blocks often share a sparsity pattern (pin-penalty sectors differ only
+    on the diagonal, and a block tested at tau may be solved at sigma), so
+    one dict of fill-reducing orders (_shift_factor) serves every
+    factorization of this call: SuperLU orders each pattern once.
 
     The eigenvectors are one column per ground-cluster member, zero outside
     the block that holds it.  A lowest cluster that fills all k values of
@@ -339,29 +379,35 @@ def solve_spectrum(H: SparseHermitian, k: int) -> SpectralResult:
     solved = {}  # key -> its _solve_block result
     found = []  # the values solved so far, one array per copy
     floors = {}  # (n, rows, cols, off-diagonal values) -> diagonals of blocks skipped by inertia
-    skipped = 0
+    orders = {}  # sparsity pattern -> its fill-reducing order
+    skipped = tested = 0
+    large_met = False
     for key in sorted(copies, key=cost):
         members, rows, cols, vals = blocks[copies[key][0]]
         n, block = members.size, None
-        if n > DENSE_BLOCK_MAX and sum(v.size for v in found) >= k:
+        if n > DENSE_BLOCK_MAX and large_met and sum(v.size for v in found) >= k:
             diag = rows == cols
-            shape = (n, rows.tobytes(), cols.tobytes(), vals[~diag].tobytes())
+            shape = (n, key[2], key[3], vals[~diag].tobytes())
             diagonal = vals[diag].real
             if any(np.all(diagonal >= floor) for floor in floors.get(shape, ())):
                 skipped += len(copies[key])
                 continue
             block = SparseHermitian(n, rows, cols, vals)
             tau = np.partition(np.concatenate(found), k - 1)[k - 1] + CLUSTER_TOL * scale
-            if _levels_below(block.to_csr(), tau, scale) == 0:
+            tested += 1
+            if _levels_below(block.to_csr(), tau, scale, orders) == 0:
                 floors.setdefault(shape, []).append(diagonal)
                 skipped += len(copies[key])
                 continue
-        solved[key] = _solve_block(n, rows, cols, vals, min(k, n), block)
+        large_met = large_met or n > DENSE_BLOCK_MAX
+        solved[key] = _solve_block(n, rows, cols, vals, min(k, n), block, orders)
         found += [solved[key][0]] * len(copies[key])
 
     parts = [(blocks[b][0], *solved[key][:2]) for b, key in enumerate(keys) if key in solved]
+    lanczos = sum(1 for r in solved.values() if r[2])  # one factorization each
     return replace(_union(H.dim, k, scale, parts), blocks_skipped=skipped,
-                   lu_solves=sum(r[2] for r in solved.values()))
+                   lu_solves=sum(r[2] for r in solved.values()),
+                   factorizations=tested + lanczos)
 
 
 # -- closed forms for the single-qubit chain ---------------------------------

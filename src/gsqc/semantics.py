@@ -173,6 +173,7 @@ def solve_program(program: Program, k: int, vectors: bool = True) -> tuple[Spect
                     for member in cluster])
             return replace(result, eigenvectors=ground, factors=len(parts),
                            lu_solves=sum(part.lu_solves for part in parts),
+                           factorizations=sum(part.factorizations for part in parts),
                            blocks_skipped=sum(part.blocks_skipped for part in parts)), scale
     _, H = assemble(program)
     return solve_spectrum(H, k), _scale(H)

@@ -242,7 +242,8 @@ def _solve_every_copy(H, k):
     each = [_solve_block(members.size, rows, cols, vals, min(k, members.size))
             for members, rows, cols, vals in blocks]
     parts = [(members, e[0], e[1]) for (members, *_), e in zip(blocks, each)]
-    return replace(_union(H.dim, k, _scale(H), parts), lu_solves=sum(e[2] for e in each))
+    return replace(_union(H.dim, k, _scale(H), parts), lu_solves=sum(e[2] for e in each),
+                   factorizations=sum(1 for e in each if e[2]))
 
 
 def check_block_spectrum_oracle():
@@ -303,11 +304,13 @@ def check_block_spectrum_oracle():
         v, w = got.eigenvectors, want.eigenvectors
         worst_projector = max(worst_projector,
                               float(np.max(np.linalg.norm(w - v @ (v.conj().T @ w), axis=0))))
-        solves.append(f"{got.lu_solves} (every copy solved: {want.lu_solves}, "
+        solves.append(f"{got.lu_solves} in {got.factorizations} factorizations (every copy "
+                      f"solved: {want.lu_solves} in {want.factorizations}, "
                       f"blocks skipped: {got.blocks_skipped})")
     got = solve_spectrum(ham.assemble(Program(num_qubits=1, num_steps=1023))[1], k=400)
     worst_level = max(worst_level, np.abs(got.eigenvalues - solve_tipped_levels(1023)[:400]).max())
-    solves.append(f"{got.lu_solves} (two 1024-blocks at k=400)")
+    solves.append(f"{got.lu_solves} in {got.factorizations} factorizations "
+                  f"(two 1024-blocks at k=400)")
     passed = not details and worst_level < 1e-10 and worst_projector < 1e-8
     return passed, "; ".join(details) or (f"max level deviation {worst_level:.2e}, "
                                           f"projector {worst_projector:.2e}, LU solves "

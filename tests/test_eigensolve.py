@@ -1,19 +1,24 @@
+import contextlib
 import functools
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from gsqc.bounds import upper_bound
 from gsqc.cli import main
 from gsqc.detection import attach_readout, choose_beta
 import gsqc.eigensolve
+import gsqc.semantics
 from gsqc.eigensolve import (CLUSTER_TOL, _blocks, _levels_below, _solve_block,
                              analytic_levels, char_det, dense_spectrum, low_lying,
                              solve_spectrum, solve_tipped_levels)
@@ -21,7 +26,7 @@ from gsqc.errors import SolverError
 from gsqc.hamiltonian import assemble
 from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, load_program, pin_all,
                           program_to_dict)
-from gsqc.semantics import random_program
+from gsqc.semantics import random_program, solve_program
 from gsqc.sparse import SparseHermitian
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -414,8 +419,8 @@ def test_block_whose_cluster_fills_m_takes_one_lanczos_run(monkeypatch):
     calls = []
     real = gsqc.eigensolve.low_lying
 
-    def recorded(H, k):
-        values, vectors, solves = real(H, k)
+    def recorded(H, k, orders=None):
+        values, vectors, solves = real(H, k, orders)
         calls.append((H.dim, k, solves))
         return values, vectors, solves
 
@@ -528,7 +533,7 @@ def pinned_large_programs():
     return [pytest.param(cid_chain(3, 16), 6, id="cid-chain-m3-n16"),
             pytest.param(chain, 11, id="cnot-chain-m4-n6"),
             pytest.param(cnot_line(60), 5, id="cnot-m2-n60"),
-            pytest.param(cid_chain(3, 8, float(choose_beta(3, 8))), 6,
+            pytest.param(cid_chain(3, 8, float(choose_beta(3, 8))), 5,
                          id="cid-chain-m3-n8-tipped"),
             pytest.param(cnot_line(60, float(choose_beta(2, 60))), 5, id="cnot-m2-n60-tipped")]
 
@@ -537,9 +542,9 @@ def counting_factorizations(monkeypatch):
     calls = []
     real = gsqc.eigensolve._shift_factor
 
-    def counted(csr, shift):
+    def counted(csr, shift, orders=None):
         calls.append(csr.shape[0])
-        return real(csr, shift)
+        return real(csr, shift, orders)
 
     monkeypatch.setattr(gsqc.eigensolve, "_shift_factor", counted)
     return calls
@@ -552,8 +557,8 @@ def test_skipping_blocks_matches_solving_every_block(prog, factorizations, monke
     factored = counting_factorizations(monkeypatch)
     got = solve_spectrum(H, k=2)
     # a block dominating one the inertia test skipped is skipped unfactored,
-    # and the penalty-free block, first in order, needs no inertia test
-    assert len(factored) <= factorizations
+    # and the first large block in cost order takes no inertia test
+    assert got.factorizations == len(factored) <= factorizations
     monkeypatch.setattr(gsqc.eigensolve, "_levels_below", lambda *args: None)
     want = solve_spectrum(H, k=2)
     assert got.blocks_skipped > 0 and want.blocks_skipped == 0
@@ -562,6 +567,135 @@ def test_skipping_blocks_matches_solving_every_block(prog, factorizations, monke
     assert got.ground_manifold_dim == want.ground_manifold_dim == 1
     v, w = got.ground_vector(), want.ground_vector()
     assert np.linalg.norm(w - v * np.vdot(v, w)) < 1e-10
+
+
+# -- one fill-reducing order per sparsity pattern --------------------------------
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@functools.lru_cache(maxsize=None)
+def run_batch_programs(seed):
+    """The benchmark's run-batch programs of one seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads.batch_programs(seed)
+
+
+def complex_pinned_program():
+    """A pinned CID chain with a complex gate: its 538-blocks are complex and
+    share patterns, so inertia tests and Lanczos runs reuse orders."""
+    u = np.array([[np.cos(0.4), -np.exp(0.7j) * np.sin(0.4)],
+                  [np.exp(-0.7j) * np.sin(0.4), np.cos(0.4)]])
+    return pin_all(Program(num_qubits=3, num_steps=8, gates=[
+        gate_cid(6, 0, 1), gate_cid(7, 1, 2), gate_single(8, 2, u)]), "000")
+
+
+def solve_programs(name):
+    if name == "pinned-large":
+        return [param.values[0] for param in pinned_large_programs()] + [complex_pinned_program()]
+    return run_batch_programs(int(name.rsplit("-", 1)[1]))
+
+
+@functools.lru_cache(maxsize=None)
+def traced_solves(name):
+    """solve_program at k=2, as ``gsqc run`` solves, over one workload's
+    programs: per solve_spectrum call, its result and its factorizations in
+    order, each a dict with the block's CSR, the ``permc_spec`` SuperLU got,
+    and either kind "inertia" (tau, scale, count) or "lanczos" (H, k, result)."""
+    calls = []
+    real_levels, real_lanczos = gsqc.eigensolve._levels_below, gsqc.eigensolve.low_lying
+    real_splu, real_solve = spla.splu, gsqc.semantics.solve_spectrum
+
+    def levels_below(csr, tau, scale, orders=None):
+        event = dict(kind="inertia", csr=csr, tau=tau, scale=scale)
+        calls[-1]["factored"].append(event)
+        event["count"] = real_levels(csr, tau, scale, orders)
+        return event["count"]
+
+    def low_lying(H, k, orders=None):
+        event = dict(kind="lanczos", csr=H.to_csr(), H=H, k=k)
+        calls[-1]["factored"].append(event)
+        event["result"] = real_lanczos(H, k, orders)
+        return event["result"]
+
+    def splu(A, *args, **kwargs):
+        calls[-1]["factored"][-1]["spec"] = kwargs["permc_spec"]
+        return real_splu(A, *args, **kwargs)
+
+    def solve(H, k):
+        calls.append(dict(factored=[]))
+        calls[-1]["result"] = real_solve(H, k)
+        return calls[-1]["result"]
+
+    with contextlib.ExitStack() as stack:
+        for owner, attr, fake in ((gsqc.eigensolve, "_levels_below", levels_below),
+                                  (gsqc.eigensolve, "low_lying", low_lying),
+                                  (spla, "splu", splu), (gsqc.semantics, "solve_spectrum", solve)):
+            stack.enter_context(mock.patch.object(owner, attr, fake))
+        for prog in solve_programs(name):
+            solve_program(prog, k=2)
+    return calls
+
+
+ORDER_WORKLOADS = ("pinned-large", "run-batch-0", "run-batch-1", "run-batch-2")
+
+
+def reused(kind):
+    """Every factorization of one kind that reused an order, over ORDER_WORKLOADS."""
+    events = [e for name in ORDER_WORKLOADS for call in traced_solves(name)
+              for e in call["factored"] if e["kind"] == kind and e["spec"] == "NATURAL"]
+    assert any(e["csr"].dtype.kind == "c" for e in events)  # a complex block among them
+    return events
+
+
+def test_each_pattern_takes_one_mmd_order_per_call():
+    # SuperLU derives a fill-reducing order the first time a solve_spectrum
+    # call factors a pattern, and never again in that call
+    orderings = 0
+    for name in ORDER_WORKLOADS:
+        for call in traced_solves(name):
+            specs = {}
+            for event in call["factored"]:
+                pattern = (event["csr"].indptr.tobytes(), event["csr"].indices.tobytes())
+                specs.setdefault(pattern, []).append(event["spec"])
+            for seen in specs.values():
+                assert seen == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(seen) - 1)
+            assert call["result"].factorizations == len(call["factored"])
+            orderings += len(specs)
+    assert orderings < sum(len(call["factored"]) for name in ORDER_WORKLOADS
+                           for call in traced_solves(name))
+
+
+def test_reused_orders_count_levels_as_a_fresh_order():
+    for event in reused("inertia"):
+        fresh = _levels_below(event["csr"], event["tau"], event["scale"])
+        assert event["count"] == fresh, (event["csr"].shape, event["tau"])
+
+
+def test_reused_orders_give_lanczos_levels_of_a_fresh_order():
+    for event in reused("lanczos"):
+        got_values, got_vectors, _ = event["result"]
+        values, vectors, _ = low_lying(event["H"], event["k"])
+        scale = gsqc.eigensolve._scale(event["H"])
+        assert np.max(np.abs(got_values - values)) <= 1e-12 * scale
+        # the lowest cluster's span, one vector when the ground level is simple
+        m = np.count_nonzero(values <= values[0] + CLUSTER_TOL * scale)
+        assert m < event["k"]
+        overlap = np.linalg.svd(got_vectors[:, :m].conj().T @ vectors[:, :m], compute_uv=False)
+        assert np.min(overlap) ** 2 >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("seed,factorizations", [(0, 12), (1, 9), (2, 11)])
+def test_run_batch_first_large_block_goes_untested(seed, factorizations):
+    # the first large block in cost order is the one a call factors first,
+    # and it goes to Lanczos without an inertia test
+    calls = traced_solves(f"run-batch-{seed}")
+    assert all(call["factored"][0]["kind"] == "lanczos" for call in calls if call["factored"])
+    assert sum(call["result"].factorizations for call in calls) <= factorizations
 
 
 def path_block(n, potential, hopping):
