@@ -11,10 +11,11 @@ from .program import Program, validate_program
 
 
 def chain_gap(N: int, eps: float = 1.0) -> float:
-    """Exact gap of a gate-free qubit: 2*eps*(1 - cos(pi/(N+1)))."""
+    """Exact gap of a gate-free qubit: 2*eps*(1 - cos(pi/(N+1))), evaluated as
+    4*eps*sin^2(pi/(2(N+1))), which keeps full relative accuracy at large N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return 2.0 * eps * (1.0 - np.cos(np.pi / (N + 1)))
+    return 4.0 * eps * np.sin(np.pi / (2.0 * (N + 1))) ** 2
 
 
 def upper_bound(program: Program) -> float:

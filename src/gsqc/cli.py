@@ -16,8 +16,7 @@ import time
 
 from .bounds import check_bounds, scaling_fit, upper_bound
 from .detection import choose_beta, infer_output_from_readout
-from .errors import (ConsistencyError, ConvergenceError, NonFactoringOutputError,
-                     ProgramError, SolverError)
+from .errors import ConsistencyError, ConvergenceError, ProgramError, SolverError
 from .eigensolve import solve_spectrum
 from .hamiltonian import assemble
 from .program import Pin, Program, gate_cid, gate_cnot, load_program
@@ -38,6 +37,18 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _table(rows, columns, fmt: str) -> str:
+    """Rows as a JSON list of objects, or as CSV through ``csv``, so a cell
+    with a comma, quote or newline is quoted."""
+    if fmt == "json":
+        return json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(r[c]) for c in columns] for r in rows)
+    return buffer.getvalue()
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -101,7 +112,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_spec = commands["spectrum"] = sub.add_parser(
         "spectrum", help="dump low-lying levels of a program")
     p_spec.add_argument("--program", required=True)
-    _add_common(p_spec, "--k", "--out", "--format")
+    p_spec.add_argument("--k", **dict(
+        _OPTIONS["--k"], help=f"lowest levels to print above dimension {DENSE_SOLVE_MAX} "
+        "(default 2^M + 1); ignored at or below it, where every level is printed"))
+    _add_common(p_spec, "--out", "--format")
 
     p_ver = commands["verify"] = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--checks", default=None, help="comma list of check names")
@@ -178,16 +192,11 @@ def cmd_run(args) -> int:
         "gap": result.gap,
         "detection": result.detection.to_dict(),
     }
-    unread = [q for q in range(program.num_qubits) if q not in program.readout]
-    if program.readout and unread:
-        doc["readout_bits"] = None
-        doc["readout_error"] = (f"no readout particle on qubit(s) {unread}: readout bits "
-                                "need one on every qubit")
-    elif program.readout:
+    if program.readout:
         try:
             doc["readout_bits"] = infer_output_from_readout(
                 result.ground_state, result.basis, result.ground_energy, result.energy_scale)
-        except NonFactoringOutputError as exc:
+        except ProgramError as exc:
             doc["readout_bits"] = None
             doc["readout_error"] = str(exc)
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -258,20 +267,11 @@ def cmd_gap_scan(args) -> int:
     columns = ["N", "M", "gates", "e0", "gap", "upper", "alpha4", "iterations", "status"]
     if args.timings:
         columns.append("wall_ms")
-    if args.fmt == "json":
-        payload = [{c: r[c] for c in columns} for r in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        # through csv, so a failed row's message is quoted
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(r[c]) for c in columns] for r in rows)
-        if len(ok_rows) >= 4 and all(r["gap"] for r in ok_rows):
-            fit = scaling_fit([(r["N"], r["gap"]) for r in ok_rows])
-            buffer.write(f"# scaling_fit exponent={fit.exponent:.6f} "
-                         f"constant={fit.constant:.6f} max_residual={fit.max_residual:.3e}\n")
-        text = buffer.getvalue()
+    text = _table(rows, columns, args.fmt)
+    if args.fmt == "csv" and len(ok_rows) >= 4 and all(r["gap"] for r in ok_rows):
+        fit = scaling_fit([(r["N"], r["gap"]) for r in ok_rows])
+        text += (f"# scaling_fit exponent={fit.exponent:.6f} "
+                 f"constant={fit.constant:.6f} max_residual={fit.max_residual:.3e}\n")
     _emit(text, args.out)
     return EXIT_OK if ok_rows else EXIT_SOLVER
 
@@ -284,12 +284,13 @@ def cmd_detect(args) -> int:
         raise ProgramError(f"--betas must be a comma list of numbers, got {args.betas!r}") from exc
     if args.m < 1 or args.n < 1:
         raise ProgramError(f"--m and --n must be at least 1, got {args.m} and {args.n}")
-    default_beta = choose_beta(args.m, args.n)
-    if not any(abs(b - default_beta) < 1e-12 for b in betas):
-        betas.append(default_beta)
     for b in betas:
         if not (0.0 < b <= 1.0):
             raise ProgramError(f"beta must lie in (0, 1], got {b}")
+    distinct = []  # a beta within 1e-12 of an earlier one, the default's last, is dropped
+    for b in betas + [choose_beta(args.m, args.n)]:
+        if not any(abs(b - d) < 1e-12 for d in distinct):
+            distinct.append(b)
     def detect_row(beta):
         program = Program(num_qubits=args.m, num_steps=args.n,
                           input_pins=[Pin(q, 0) for q in range(args.m)],
@@ -300,15 +301,8 @@ def cmd_detect(args) -> int:
                 "predicted": rep.predicted_gate_free,
                 "expected_attempts": rep.expected_attempts}
 
-    rows = [detect_row(beta) for beta in sorted(betas)]
-    if args.fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["beta,p_all,predicted,expected_attempts"]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) for c in ("beta", "p_all", "predicted",
-                                                       "expected_attempts")))
-        text = "\n".join(lines) + "\n"
+    rows = [detect_row(beta) for beta in sorted(distinct)]
+    text = _table(rows, ["beta", "p_all", "predicted", "expected_attempts"], args.fmt)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -323,9 +317,8 @@ def cmd_spectrum(args) -> int:
                            "ground_manifold_dim": res.ground_manifold_dim,
                            "gap": res.gap, "method": res.method}, indent=2) + "\n"
     else:
-        lines = ["index,eigenvalue"] + [f"{i},{_fmt(float(v))}"
-                                        for i, v in enumerate(res.eigenvalues)]
-        text = "\n".join(lines) + "\n"
+        rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(res.eigenvalues)]
+        text = _table(rows, ["index", "eigenvalue"], "csv")
     _emit(text, args.out)
     return EXIT_OK
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace, asdict
 import numpy as np
 
 from .basis import ConfigurationBasis
-from .errors import NonFactoringOutputError
+from .errors import NonFactoringOutputError, ProgramError
 from .program import Program, validate_program
 
 READOUT_OCC_LO = 0.1
@@ -88,10 +88,14 @@ def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: flo
     energy, possibly with collapsed per-branch occupations.  Both signatures
     raise NonFactoringOutputError.  ``scale`` is H's energy scale, its largest
     |diagonal entry| (``RunResult.energy_scale``): a ground energy up to
-    FACTOR_ENERGY_TOL * scale is zero up to rounding.
+    FACTOR_ENERGY_TOL * scale is zero up to rounding.  Readout bits need
+    exactly one readout particle per qubit; otherwise ProgramError names the
+    qubits without one.
     """
     if sorted(basis.readout) != list(range(basis.num_qubits)):
-        raise ValueError("readout inference needs a readout particle on every qubit")
+        unread = [q for q in range(basis.num_qubits) if q not in basis.readout]
+        raise ProgramError(f"no readout particle on qubit(s) {unread}: readout bits "
+                           "need one on every qubit")
     tol = FACTOR_ENERGY_TOL * scale
     if ground_energy > tol:
         raise NonFactoringOutputError(

@@ -414,7 +414,8 @@ def solve_spectrum(H: SparseHermitian, k: int) -> SpectralResult:
 
 
 def analytic_levels(N: int, eps: float = 1.0) -> np.ndarray:
-    """Closed-form level ladder 2*eps*(1 - cos(pi*m / (2(N+1)))), m = 0..2N+1.
+    """Closed-form level ladder 2*eps*(1 - cos(pi*m / (2(N+1)))), m = 0..2N+1,
+    evaluated as 4*eps*sin^2(pi*m / (4(N+1))), free of 1 - cos cancellation.
 
     The ladder fills dimension 2(N+1); the even-m entries, each doubled by
     the two identical column chains, are the exact spectrum of a single
@@ -424,7 +425,7 @@ def analytic_levels(N: int, eps: float = 1.0) -> np.ndarray:
     if N < 1:
         raise ValueError("N must be >= 1")
     m = np.arange(0, 2 * N + 2)
-    return 2.0 * eps * (1.0 - np.cos(np.pi * m / (2.0 * (N + 1))))
+    return 4.0 * eps * np.sin(np.pi * m / (4.0 * (N + 1))) ** 2
 
 
 def char_det(E: float, N: int, eps: float = 1.0, beta: float = 1.0) -> float:

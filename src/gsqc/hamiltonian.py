@@ -124,7 +124,7 @@ def cid_term(basis: ConfigurationBasis, control: int, target: int, row: int,
     return _two_body_term(basis, control, target, row, eps, _BRANCH_UNITARIES["cid"])
 
 
-def _region_sites(basis: ConfigurationBasis, lo_row: int, hi_row: int) -> list[int]:
+def _region_sites(lo_row: int, hi_row: int) -> list[int]:
     """All sites with lo_row <= row < hi_row (both columns)."""
     return [2 * r + c for r in range(lo_row, hi_row) for c in range(2)]
 
@@ -149,7 +149,7 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
         for i, gE in enumerate(mine):
             for gL in mine[i + 1:]:
                 jE, jL = gE.row, gL.row
-                below_E = _region_sites(basis, 0, jE)
+                below_E = _region_sites(0, jE)
                 # pending earlier gate: re-enforce q's later bond
                 if q == gE.control:
                     partner = {gE.target: below_E}
@@ -158,7 +158,7 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
                         # later gate's own target is still behind it
                         cond = dict(partner)
                         if gL.target != gE.target:
-                            cond[gL.target] = _region_sites(basis, 0, jL)
+                            cond[gL.target] = _region_sites(0, jL)
                         term = _bond(basis, q, jL, _IDENTITY, eps, condition=cond)
                     else:
                         # q is the later gate's target: copy its conditional bond
@@ -170,7 +170,7 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
                 yield (f"sync[q{q},j{jE}->j{jL}]", term)
                 # advanced later gate: re-enforce q's earlier bond
                 if q == gL.control:
-                    at_or_above = _region_sites(basis, jL, N + 1)
+                    at_or_above = _region_sites(jL, N + 1)
                     yield (f"sync[q{q},j{jL}<-j{jE}]",
                            _bond(basis, q, jE, _IDENTITY, eps, condition={gL.target: at_or_above}))
         # widened control-bond: a retargeted qubit can wait strictly below
@@ -181,7 +181,7 @@ def chain_sync_terms(basis: ConfigurationBasis, gates, eps: float):
             earlier = [g2 for g2 in mine if g2.row < g.row]
             if not earlier:
                 continue
-            strict_below = _region_sites(basis, 0, g.row - 1)
+            strict_below = _region_sites(0, g.row - 1)
             yield (f"sync[wide,q{g.control},j{g.row}]",
                    _bond(basis, g.control, g.row, _IDENTITY, eps, condition={q: strict_below}))
 

@@ -21,7 +21,7 @@ from .basis import ConfigurationBasis, enumerate_basis
 from .detection import FACTOR_ENERGY_TOL, build_report, DetectionReport
 from .errors import (ConsistencyError, IndeterminateInputError, NonFactoringOutputError,
                      ProgramError, SolverError, TruncatedClusterError)
-from .eigensolve import SpectralResult, _scale, _union, solve_spectrum
+from .eigensolve import CLUSTER_TOL, SpectralResult, _scale, _union, solve_spectrum
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
                       validate_program)
@@ -179,6 +179,13 @@ def solve_program(program: Program, k: int, vectors: bool = True) -> tuple[Spect
     return solve_spectrum(H, k), _scale(H)
 
 
+def _energy_scale(program: Program) -> float:
+    """The scale ``solve_program`` returns with a solve, without one: untipped,
+    the sum of the qubit groups' scales; tipped, the whole H's."""
+    groups = qubit_groups(program) if program.beta == 1.0 else [list(range(program.num_qubits))]
+    return sum(_scale(assemble(restrict(program, group))[1]) for group in groups)
+
+
 @dataclass
 class RunResult:
     """Solved program: logical output, diagnostics, detection report."""
@@ -207,11 +214,13 @@ class RunResult:
 def run_program(program: Program) -> RunResult:
     """Solve for the ground state (``solve_program``), verify development, read output.
 
-    Requires every input pinned so the ground state is unique; a ground
-    level that is degenerate all the same raises SolverError.  With readout
-    particles, a degenerate ground level or a ground energy above
-    FACTOR_ENERGY_TOL * scale means the output does not factor, and raises
-    NonFactoringOutputError before the development check.
+    Requires every input pinned so the ground state is unique.  Without
+    readout particles, two lowest levels within CLUSTER_TOL * scale of each
+    other raise SolverError: the ground level is degenerate, or its gap is
+    below what the solver resolves.  With readout particles, a degenerate
+    ground level or a ground energy above FACTOR_ENERGY_TOL * scale means the
+    output does not factor, and raises NonFactoringOutputError before the
+    development check.
     """
     validate_program(program)
     if program.pinned_qubits() != set(range(program.num_qubits)):
@@ -219,10 +228,16 @@ def run_program(program: Program) -> RunResult:
     try:
         result, scale = solve_program(program, k=2)
     except TruncatedClusterError as exc:
-        error = NonFactoringOutputError if program.readout else SolverError
-        raise error("the ground level is degenerate, so the pinned program's ground "
-                    "state is not unique; with readout particles this means its "
-                    "output does not factor") from exc
+        if program.readout:
+            raise NonFactoringOutputError(
+                "the ground level is degenerate, so the pinned program's ground state "
+                "is not unique; with readout particles this means its output does "
+                "not factor") from exc
+        scale = _energy_scale(program)
+        raise SolverError(
+            f"the two lowest levels lie within the cluster width {CLUSTER_TOL * scale:g} "
+            f"({CLUSTER_TOL:g} times the energy scale {scale:g}): the ground level is "
+            "degenerate, or its gap is below that resolution") from exc
     if program.readout and result.ground_energy > FACTOR_ENERGY_TOL * scale:
         raise NonFactoringOutputError(
             f"combined ground energy {result.ground_energy:.3e} above "

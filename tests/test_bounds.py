@@ -13,6 +13,15 @@ def measured_gap(prog):
     return dense_spectrum(H).gap
 
 
+@pytest.mark.parametrize("N", [500, 1000, 2500, 5000])
+def test_chain_gap_keeps_relative_accuracy_at_large_n(N):
+    # 2(1 - cos x) by its series; the next term, 2x^10/10!, is below 1e-28 here
+    x = np.pi / (N + 1)
+    series = x ** 2 - x ** 4 / 12 + x ** 6 / 360 - x ** 8 / 20160
+    assert chain_gap(N) == pytest.approx(series, rel=1e-15, abs=0)
+    assert analytic_levels(N)[2] == pytest.approx(series, rel=1e-15, abs=0)
+
+
 def test_upper_bound_formula():
     prog = Program(num_qubits=2, num_steps=4, gates=[gate_cnot(2, 0, 1)])
     assert upper_bound(prog) == pytest.approx(1.0 / 6.0)

@@ -179,6 +179,21 @@ def test_run_partial_readout_list_reports_readout_error(tmp_path, capsys):
     assert "qubit(s) [1]" in out["readout_error"]
 
 
+def test_run_unresolved_gap_without_readout_names_the_cluster_width(tmp_path, capsys):
+    # a pin of 1e-6 against epsilon 1e9 splits the ground level by about 4e-7,
+    # below the cluster width 1e-8 * 4e9 = 40: the ground state is unique, but
+    # the solver cannot tell, and no readout particle is involved
+    doc = {"qubits": 2, "steps": 3, "epsilon": 1e9,
+           "gates": [{"kind": "cnot", "row": 2, "control": 0, "target": 1}],
+           "pins": [{"qubit": 0, "bit": 1, "lambda": 1e-6}, {"qubit": 1, "bit": 0}]}
+    path = tmp_path / "weak_pin.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--program", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "cluster width 40 " in err and "gap is below that resolution" in err
+    assert "readout" not in err and "not unique" not in err
+
+
 def test_gap_scan_single_qubit_with_footer(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "12",
@@ -287,6 +302,22 @@ def test_detect_rows(tmp_path):
     assert pytest.approx(float(rows[1.0][1])) == 0.25
     # the 1/sqrt(MN) row is always included
     assert any(abs(b - 1 / np.sqrt(3)) < 1e-9 for b in rows)
+
+
+def test_detect_solves_each_distinct_beta_once(monkeypatch, capsys):
+    # 1/sqrt(2*2) is 0.5 too, and 0.5 + 1e-14 lies within 1e-12 of it
+    betas, run_program = [], gsqc.cli.run_program
+
+    def counting(program):
+        betas.append(program.beta)
+        return run_program(program)
+
+    monkeypatch.setattr(gsqc.cli, "run_program", counting)
+    assert main(["detect", "--m", "2", "--n", "2", "--betas", "1.0,0.5,0.5,0.50000000000001",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert betas == [0.5, 1.0]
+    assert [r["beta"] for r in rows] == [0.5, 1.0]
 
 
 def test_detect_rejects_beta_zero(capsys):

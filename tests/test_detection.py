@@ -7,7 +7,7 @@ from gsqc.detection import (attach_readout, build_report, choose_beta, cid_sync_
                             per_qubit_final_probabilities, predicted_gate_free,
                             readout_occupations)
 from gsqc.eigensolve import dense_spectrum
-from gsqc.errors import NonFactoringOutputError
+from gsqc.errors import NonFactoringOutputError, ProgramError
 from gsqc.hamiltonian import assemble
 from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from gsqc.semantics import reference_circuit, run_program
@@ -140,7 +140,7 @@ def test_inference_requires_full_readout_coverage():
     prog = pin_all(Program(num_qubits=2, num_steps=2), "00")
     prog = attach_readout(prog, qubits=[0])
     psi, basis, e0 = solved_ground(prog)
-    with pytest.raises(ValueError, match="every qubit"):
+    with pytest.raises(ProgramError, match=r"qubit\(s\) \[1\]: .* every qubit"):
         infer_output_from_readout(psi, basis, e0)
 
 
