@@ -53,8 +53,11 @@ def _table(rows, columns, fmt: str) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ProgramError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -78,7 +78,7 @@ def attach_readout(program: Program, qubits=None, strength: float | None = None)
 
 
 def infer_output_from_readout(psi, basis: ConfigurationBasis, ground_energy: float,
-                              scale: float = 1.0) -> str:
+                              scale: float) -> str:
     """Output bitstring from readout positions: bit = column opposite the particle.
 
     Valid only when the program's final state factors, which is equivalent to

@@ -304,9 +304,10 @@ def _union(dim: int, k: int, scale: float, parts) -> SpectralResult:
     """The k lowest of the blocks' values, and the ground cluster's columns at
     their own block's indices; ``parts`` holds (indices, values, local vectors)
     per block, in block order, or one (None, values, None) to judge values
-    alone, which gives no eigenvectors.  The one judge of the cluster: one
-    filling all k of fewer than dim values may continue above them, so it is
-    an error."""
+    alone, which gives no eigenvectors.  The one judge of the cluster, and
+    the one wording of an unresolved one: a cluster filling all k of fewer
+    than dim values may continue above them, so TruncatedClusterError names
+    k and the cluster width CLUSTER_TOL * scale that the values lie within."""
     index, values, vectors = zip(*parts)
     owner = np.repeat(np.arange(len(values)), [v.size for v in values])
     column = np.concatenate([np.arange(v.size) for v in values])
@@ -314,8 +315,11 @@ def _union(dim: int, k: int, scale: float, parts) -> SpectralResult:
     lowest = np.argsort(union, kind="stable")[:k]
     manifold, gap = _cluster(union[lowest], scale)
     if manifold == k < dim:
-        raise TruncatedClusterError(f"lowest cluster fills all k={k} requested values and "
-                                    f"may extend beyond them: pass a larger k")
+        raise TruncatedClusterError(
+            f"the lowest cluster, the levels within the cluster width {CLUSTER_TOL * scale:g} "
+            f"({CLUSTER_TOL:g} times the energy scale {scale:g}) of the lowest, fills all "
+            f"k={k} requested values: the ground level is degenerate, or its gap is below "
+            "that resolution, or the cluster continues past k, which a larger k would show")
     if vectors[0] is None:
         return SpectralResult(union[lowest], None, manifold, gap)
     ground = np.zeros((dim, manifold), dtype=np.result_type(*{v.dtype for v in vectors}))

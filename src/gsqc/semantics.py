@@ -20,8 +20,8 @@ import numpy as np
 from .basis import ConfigurationBasis, enumerate_basis
 from .detection import FACTOR_ENERGY_TOL, build_report, DetectionReport
 from .errors import (ConsistencyError, IndeterminateInputError, NonFactoringOutputError,
-                     ProgramError, SolverError, TruncatedClusterError)
-from .eigensolve import CLUSTER_TOL, SpectralResult, _scale, _union, solve_spectrum
+                     ProgramError, TruncatedClusterError)
+from .eigensolve import SpectralResult, _scale, _union, solve_spectrum
 from .hamiltonian import assemble
 from .program import (GateSpec, Pin, Program, gate_cnot, gate_cid, gate_single,
                       validate_program)
@@ -132,7 +132,8 @@ def _kron_into_basis(columns, groups, basis: ConfigurationBasis) -> np.ndarray:
 
 def solve_program(program: Program, k: int, vectors: bool = True) -> tuple[SpectralResult, float]:
     """The k lowest levels of the program's H, as ``solve_spectrum`` gives
-    them, and H's energy scale (its largest diagonal entry).
+    them, and H's energy scale (its largest diagonal entry).  The program is
+    validated first, so an invalid one raises ProgramError before any split.
 
     Untipped, a group of qubits that no two-body gate links to the rest
     (``qubit_groups``) adds a Kronecker summand: H = A (x) I + I (x) B, whose
@@ -146,11 +147,14 @@ def solve_program(program: Program, k: int, vectors: bool = True) -> tuple[Spect
     ground cluster's columns are the products of the factors' columns; a
     cluster member that needs a factor level outside that factor's own
     cluster (possible only within CLUSTER_TOL of the scale) has none, so
-    then the whole H is solved.  The program's basis, and with it the
+    then the whole H is solved.  A factor that cannot resolve its own ground
+    cluster raises TruncatedClusterError naming its own scale's cluster
+    width, the resolution its solve had.  The program's basis, and with it the
     dimension cap, comes before any product vector.  Tipping scales the final-row operators of
     several qubits at once, S H S with S = (x) s_q, which is no Kronecker
     sum, so a tipped program, like a single group, is solved whole.
     """
+    validate_program(program)
     groups = qubit_groups(program)
     if program.beta == 1.0 and len(groups) > 1:
         Hs = [assemble(restrict(program, group))[1] for group in groups]
@@ -177,13 +181,6 @@ def solve_program(program: Program, k: int, vectors: bool = True) -> tuple[Spect
                            blocks_skipped=sum(part.blocks_skipped for part in parts)), scale
     _, H = assemble(program)
     return solve_spectrum(H, k), _scale(H)
-
-
-def _energy_scale(program: Program) -> float:
-    """The scale ``solve_program`` returns with a solve, without one: untipped,
-    the sum of the qubit groups' scales; tipped, the whole H's."""
-    groups = qubit_groups(program) if program.beta == 1.0 else [list(range(program.num_qubits))]
-    return sum(_scale(assemble(restrict(program, group))[1]) for group in groups)
 
 
 @dataclass
@@ -215,12 +212,13 @@ def run_program(program: Program) -> RunResult:
     """Solve for the ground state (``solve_program``), verify development, read output.
 
     Requires every input pinned so the ground state is unique.  Without
-    readout particles, two lowest levels within CLUSTER_TOL * scale of each
-    other raise SolverError: the ground level is degenerate, or its gap is
-    below what the solver resolves.  With readout particles, a degenerate
-    ground level or a ground energy above FACTOR_ENERGY_TOL * scale means the
-    output does not factor, and raises NonFactoringOutputError before the
-    development check.
+    readout particles, two lowest levels within the cluster width of each
+    other raise ``eigensolve._union``'s TruncatedClusterError unchanged, a
+    SolverError naming that width: the ground level is degenerate, or its
+    gap is below what the solve resolves.  With readout particles, a
+    degenerate ground level or a ground energy above FACTOR_ENERGY_TOL *
+    scale means the output does not factor, and raises
+    NonFactoringOutputError before the development check.
     """
     validate_program(program)
     if program.pinned_qubits() != set(range(program.num_qubits)):
@@ -228,16 +226,12 @@ def run_program(program: Program) -> RunResult:
     try:
         result, scale = solve_program(program, k=2)
     except TruncatedClusterError as exc:
-        if program.readout:
-            raise NonFactoringOutputError(
-                "the ground level is degenerate, so the pinned program's ground state "
-                "is not unique; with readout particles this means its output does "
-                "not factor") from exc
-        scale = _energy_scale(program)
-        raise SolverError(
-            f"the two lowest levels lie within the cluster width {CLUSTER_TOL * scale:g} "
-            f"({CLUSTER_TOL:g} times the energy scale {scale:g}): the ground level is "
-            "degenerate, or its gap is below that resolution") from exc
+        if not program.readout:
+            raise
+        raise NonFactoringOutputError(
+            "the ground level is degenerate, so the pinned program's ground state "
+            "is not unique; with readout particles this means its output does "
+            "not factor") from exc
     if program.readout and result.ground_energy > FACTOR_ENERGY_TOL * scale:
         raise NonFactoringOutputError(
             f"combined ground energy {result.ground_energy:.3e} above "

@@ -18,6 +18,7 @@ from .detection import (attach_readout, choose_beta, cid_sync_check,
                         infer_output_from_readout, predicted_gate_free)
 from .eigensolve import (DEFAULT_SEED, _blocks, _scale, _solve_block, _union, analytic_levels,
                          char_det, dense_spectrum, solve_spectrum, solve_tipped_levels)
+from .errors import ProgramError
 from .program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
 from .semantics import (_random_unitary, qubit_groups, random_program, reference_circuit,
                         run_program, solve_program)
@@ -378,6 +379,12 @@ ALL_CHECKS = [
 
 
 def run_all(names=None) -> list[CheckResult]:
+    """The checks named (all of them when ``names`` is empty), in suite order;
+    a name that is no check raises ProgramError naming it and the known ones."""
+    known = [name for name, _ in ALL_CHECKS]
+    unknown = [n for n in names or () if n not in known]
+    if unknown:
+        raise ProgramError(f"unknown check(s) {unknown}: known checks are {', '.join(known)}")
     results = []
     for name, fn in ALL_CHECKS:
         if names and name not in names:

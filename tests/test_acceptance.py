@@ -178,7 +178,7 @@ def test_criterion_09_readout_electrons():
         bits_in = "".join(str(p.bit) for p in sorted(prog.input_pins, key=lambda p: p.qubit))
         ref = reference_circuit(replace(prog, readout=[], readout_strength=None), bits_in)
         want = format(int(np.argmax(np.abs(ref))), f"0{prog.num_qubits}b")
-        got = infer_output_from_readout(result.ground_vector(), basis, result.ground_energy)
+        got = infer_output_from_readout(result.ground_vector(), basis, result.ground_energy, 1.0)
         assert got == want
     bell = pin_all(Program(num_qubits=2, num_steps=2,
                            gates=[gate_single(1, 0, np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
@@ -187,7 +187,7 @@ def test_criterion_09_readout_electrons():
     bell = attach_readout(bell)
     result, basis = solved_ground(bell)
     with pytest.raises(NonFactoringOutputError):
-        infer_output_from_readout(result.ground_vector(), basis, result.ground_energy)
+        infer_output_from_readout(result.ground_vector(), basis, result.ground_energy, 1.0)
     report(9, "20 factoring programs read out exactly at zero energy; "
               "Bell-type program rejected")
 

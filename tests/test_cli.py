@@ -194,6 +194,58 @@ def test_run_unresolved_gap_without_readout_names_the_cluster_width(tmp_path, ca
     assert "readout" not in err and "not unique" not in err
 
 
+def test_run_unresolved_gap_of_one_qubit_group_names_that_groups_width(tmp_path, capsys):
+    # gate-free, each qubit solved as its own factor: qubit 1's pin of 1e-9
+    # is below its factor's width 1e-8 * 2, the resolution its solve had
+    doc = {"qubits": 2, "steps": 2,
+           "pins": [{"qubit": 0, "bit": 0}, {"qubit": 1, "bit": 0, "lambda": 1e-9}]}
+    path = tmp_path / "weak_free.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--program", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "cluster width 2e-08 (1e-08 times the energy scale 2)" in err
+    assert "gap is below that resolution" in err and "readout" not in err
+
+
+def test_run_consistency_error_exit_4(not_program, monkeypatch, capsys):
+    monkeypatch.setattr(gsqc.semantics, "verify_development", lambda *args: 1.0)
+    assert main(["run", "--program", not_program]) == 4
+    captured = capsys.readouterr()
+    assert "consistency error: development residual 1.000e+00 above 1e-06" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "3"],
+    ["run", "--program", None],
+], ids=["gap-scan", "run"])
+def test_unwritable_out_exit_2(not_program, tmp_path, capsys, argv):
+    argv = [not_program if a is None else a for a in argv]
+    target = tmp_path / "missing" / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write output file:" in captured.err and str(target) in captured.err
+    assert captured.out == "" and not target.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gap_scan_timings_appends_wall_ms(capsys, fmt):
+    argv = ["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "5", "--format", fmt]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--timings"]) == 0
+    timed = capsys.readouterr().out
+    if fmt == "csv":
+        plain = list(csv.DictReader(l for l in plain.splitlines() if not l.startswith("#")))
+        timed = list(csv.DictReader(l for l in timed.splitlines() if not l.startswith("#")))
+    else:
+        plain, timed = json.loads(plain), json.loads(timed)
+    assert len(timed) == 4
+    for row, timed_row in zip(plain, timed):
+        assert float(timed_row.pop("wall_ms")) > 0.0
+        assert timed_row == row
+
+
 def test_gap_scan_single_qubit_with_footer(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "12",
@@ -539,6 +591,19 @@ def test_verify_passes(capsys):
     assert main(["verify", "--checks", "single-qubit-spectrum,gate-commutation"]) == 0
     out = capsys.readouterr().out
     assert "single-qubit-spectrum" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("checks,unknown", [
+    ("bogus", "['bogus']"),
+    (",", "['', '']"),
+    ("single-qubit-spectrum,typo", "['typo']"),
+])
+def test_verify_unknown_check_exit_2(capsys, checks, unknown):
+    assert main(["verify", "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert f"error: unknown check(s) {unknown}: known checks are " in captured.err
+    assert "single-qubit-spectrum, char-det-vs-dense" in captured.err
+    assert captured.out == ""  # no check ran
 
 
 def test_verify_block_spectrum_oracle_and_seconds(capsys):

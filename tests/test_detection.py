@@ -6,7 +6,7 @@ from gsqc.detection import (attach_readout, build_report, choose_beta, cid_sync_
                             detection_probability, infer_output_from_readout,
                             per_qubit_final_probabilities, predicted_gate_free,
                             readout_occupations)
-from gsqc.eigensolve import dense_spectrum
+from gsqc.eigensolve import _scale, dense_spectrum
 from gsqc.errors import NonFactoringOutputError, ProgramError
 from gsqc.hamiltonian import assemble
 from gsqc.program import Pin, Program, gate_cid, gate_cnot, gate_single, pin_all
@@ -93,21 +93,21 @@ def test_readout_localizes_opposite_to_output():
     assert abs(e0) < 1e-9
     (p0, p1), = readout_occupations(psi, basis)
     assert p0 > 1 - 1e-8  # output bit 1 pushes the readout to column 0
-    assert infer_output_from_readout(psi, basis, e0) == "1"
+    assert infer_output_from_readout(psi, basis, e0, 1.0) == "1"
 
 
 def test_readout_identity_mirror_case():
     psi, basis, e0 = solved_ground(readout_program(gate_is_not=False))
     (p0, p1), = readout_occupations(psi, basis)
     assert p1 > 1 - 1e-8
-    assert infer_output_from_readout(psi, basis, e0) == "0"
+    assert infer_output_from_readout(psi, basis, e0, 1.0) == "0"
 
 
 @pytest.mark.parametrize("V", [0.1, 1.0, 10.0])
 def test_readout_strength_independent(V):
     psi, basis, e0 = solved_ground(readout_program(gate_is_not=True, V=V))
     assert abs(e0) < 1e-9
-    assert infer_output_from_readout(psi, basis, e0) == "1"
+    assert infer_output_from_readout(psi, basis, e0, 1.0) == "1"
 
 
 def test_readout_two_qubit_bitstring():
@@ -115,7 +115,7 @@ def test_readout_two_qubit_bitstring():
                            gates=[gate_single(1, 0, NOT), gate_cnot(2, 0, 1)]), "00")
     prog = attach_readout(prog)
     psi, basis, e0 = solved_ground(prog)
-    assert infer_output_from_readout(psi, basis, e0) == "11"
+    assert infer_output_from_readout(psi, basis, e0, 1.0) == "11"
 
 
 def test_bell_type_program_raises_non_factoring():
@@ -125,7 +125,7 @@ def test_bell_type_program_raises_non_factoring():
     psi, basis, e0 = solved_ground(prog)
     assert e0 > 1e-6  # entangled output frustrates the readout repulsion
     with pytest.raises(NonFactoringOutputError):
-        infer_output_from_readout(psi, basis, e0)
+        infer_output_from_readout(psi, basis, e0, 1.0)
 
 
 def test_interior_occupation_raises_non_factoring():
@@ -133,7 +133,7 @@ def test_interior_occupation_raises_non_factoring():
     basis = enumerate_basis(prog)
     psi = np.full(basis.dim, 1.0 / np.sqrt(basis.dim))
     with pytest.raises(NonFactoringOutputError, match="occupation"):
-        infer_output_from_readout(psi, basis, 0.0)
+        infer_output_from_readout(psi, basis, 0.0, 1.0)
 
 
 def test_inference_requires_full_readout_coverage():
@@ -141,7 +141,25 @@ def test_inference_requires_full_readout_coverage():
     prog = attach_readout(prog, qubits=[0])
     psi, basis, e0 = solved_ground(prog)
     with pytest.raises(ProgramError, match=r"qubit\(s\) \[1\]: .* every qubit"):
-        infer_output_from_readout(psi, basis, e0)
+        infer_output_from_readout(psi, basis, e0, 1.0)
+
+
+def test_inference_tolerance_follows_the_energy_scale():
+    # at epsilon 1e9 the combined ground energy rounds to about 1e-6, zero
+    # against the scale 4e9 but not against 1
+    prog = pin_all(Program(num_qubits=2, num_steps=3, epsilon=1e9,
+                           gates=[gate_single(1, 0, NOT), gate_cnot(2, 0, 1)]), "00")
+    prog = attach_readout(prog)
+    _, H = assemble(prog)
+    result = dense_spectrum(H)
+    psi, basis, e0 = result.ground_vector(), enumerate_basis(prog), result.ground_energy
+    scale = _scale(H)
+    assert scale == 4e9 and 1e-8 < e0 < 1e-8 * scale
+    assert infer_output_from_readout(psi, basis, e0, scale) == "11"
+    with pytest.raises(NonFactoringOutputError, match="above 1e-08"):
+        infer_output_from_readout(psi, basis, e0, 1.0)
+    with pytest.raises(TypeError):
+        infer_output_from_readout(psi, basis, e0)  # no default scale
 
 
 def test_attach_readout_validation():

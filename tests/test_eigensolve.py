@@ -22,7 +22,7 @@ import gsqc.semantics
 from gsqc.eigensolve import (CLUSTER_TOL, _blocks, _levels_below, _solve_block,
                              analytic_levels, char_det, dense_spectrum, low_lying,
                              solve_spectrum, solve_tipped_levels)
-from gsqc.errors import SolverError
+from gsqc.errors import ConvergenceError, SolverError
 from gsqc.hamiltonian import assemble
 from gsqc.program import (Program, gate_cid, gate_cnot, gate_single, load_program, pin_all,
                           program_to_dict)
@@ -123,6 +123,44 @@ def test_low_lying_gap_below_variational_bound():
     _, H = assemble(prog)
     _, gap = lowest_cluster(low_lying(H, k=5)[0], H)
     assert 0 < gap <= 1.0 / 20.0 + 1e-10
+
+
+def test_low_lying_failed_factorization_is_a_convergence_error(monkeypatch):
+    def singular(csr, shift, orders=None):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(gsqc.eigensolve, "_shift_factor", singular)
+    _, H = assemble(Program(num_qubits=2, num_steps=6, gates=[gate_cnot(3, 0, 1)]))
+    with pytest.raises(ConvergenceError, match="factorization failed: Factor is exactly singular"):
+        low_lying(H, k=5)
+
+
+def test_low_lying_arpack_failure_is_a_convergence_error(monkeypatch):
+    def stalls(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stalls)
+    _, H = assemble(Program(num_qubits=2, num_steps=6, gates=[gate_cnot(3, 0, 1)]))
+    with pytest.raises(ConvergenceError, match="ARPACK shift-invert failed: .*No convergence"):
+        low_lying(H, k=5)
+
+
+def test_low_lying_rejects_pairs_above_the_residual_bar(monkeypatch):
+    # ARPACK's vectors, each perturbed by 1e-3 of a random unit vector: the
+    # Rayleigh quotients stay near the levels, the residuals do not
+    real = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        noise = np.random.default_rng(0).standard_normal(vecs.shape)
+        vecs = vecs + 1e-3 * noise / np.linalg.norm(noise, axis=0)
+        return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    _, H = assemble(Program(num_qubits=2, num_steps=6, gates=[gate_cnot(3, 0, 1)]))
+    with pytest.raises(ConvergenceError, match="eigenpair residual .* above"):
+        low_lying(H, k=5)
 
 
 def test_small_dimension_refused_by_low_lying_solved_dense():

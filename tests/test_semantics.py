@@ -335,6 +335,21 @@ def test_qubit_groups_and_restrict():
     assert free.readout == [0] and free.readout_strength == 2.0
 
 
+@pytest.mark.parametrize("program,message", [
+    # a split path would solve two factors without the gate, drop the pin, or
+    # index past the qubits
+    (Program(num_qubits=3, num_steps=3, gates=[gate_cnot(1, -1, 1)]), "control -1"),
+    (Program(num_qubits=2, num_steps=2, input_pins=[Pin(0, 0), Pin(1, 0), Pin(5, 0)]),
+     "pin qubit 5"),
+    (Program(num_qubits=2, num_steps=2, gates=[gate_cnot(1, 0, 5)]), "target 5"),
+], ids=["cnot-control-minus-1", "pin-on-qubit-5", "cnot-target-5"])
+def test_solve_program_rejects_what_assemble_rejects(program, message):
+    with pytest.raises(ProgramError, match=message):
+        assemble(program)
+    with pytest.raises(ProgramError, match=message):
+        solve_program(program, k=2)
+
+
 def _solved(solve):
     try:
         return solve()
