@@ -10,7 +10,7 @@ controlled-identity synchronization).
 """
 
 from .basis import ConfigurationBasis, enumerate_basis
-from .bounds import GapBounds, ScalingFit, chain_gap, check_bounds, scaling_fit, upper_bound
+from .bounds import ScalingFit, chain_gap, check_bounds, scaling_fit, upper_bound
 from .detection import (CidSyncResult, DetectionReport, attach_readout, build_report,
                         choose_beta, cid_sync_check, detection_probability,
                         infer_output_from_readout, per_qubit_final_probabilities,

@@ -63,21 +63,8 @@ def scaling_fit(samples) -> ScalingFit:
                       max_residual=float(resid))
 
 
-@dataclass
-class GapBounds:
-    """Bound report for one program instance."""
-
-    gap: float
-    upper: float
-    alpha_empirical: float      # gap * (N+1)^4, the lower-bound-form constant
-    epsilon: float              # the program's energy scale, which sets the slack's floor
-
-    def satisfied(self) -> bool:
-        return 0.0 <= self.gap <= self.upper * (1.0 + 1e-12) + 1e-12 * self.epsilon
-
-
-def check_bounds(program: Program, gap: float) -> GapBounds:
-    """Assert gap <= variational upper bound; record the empirical alpha constant.
+def check_bounds(program: Program, gap: float) -> float:
+    """The variational upper bound, after checking that ``gap`` lies below it.
 
     A violated upper bound signals a broken gate-term construction and raises
     BoundViolationError.
@@ -85,11 +72,9 @@ def check_bounds(program: Program, gap: float) -> GapBounds:
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap!r}")
     ub = upper_bound(program)
-    N = program.num_steps
-    bounds = GapBounds(gap=gap, upper=ub, alpha_empirical=gap * (N + 1) ** 4,
-                       epsilon=program.epsilon)
-    if not bounds.satisfied():
+    if not gap <= ub * (1.0 + 1e-12) + 1e-12 * program.epsilon:  # NaN fails too
         raise BoundViolationError(
             f"measured gap {gap:.6e} exceeds variational upper bound {ub:.6e} "
-            f"(N={N}, gates={[(g.kind, g.row) for g in program.gates if g.kind != 'single']})")
-    return bounds
+            f"(N={program.num_steps}, "
+            f"gates={[(g.kind, g.row) for g in program.gates if g.kind != 'single']})")
+    return ub

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
+import os
 import sys
 import time
 
-from .bounds import check_bounds, scaling_fit, upper_bound
+from .bounds import check_bounds, scaling_fit
 from .detection import choose_beta, infer_output_from_readout
 from .errors import ConsistencyError, ConvergenceError, ProgramError, SolverError
 from .eigensolve import solve_spectrum
@@ -51,6 +53,20 @@ def _table(rows, columns, fmt: str) -> str:
     return buffer.getvalue()
 
 
+def _check_out(out_path: str | None) -> None:
+    """Fail an --out path in a missing directory, or naming one, before any
+    solve and without creating the file; _emit reports any other failure."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(out_path) or os.curdir):
+        code = errno.ENOENT
+    else:
+        return
+    raise ProgramError(f"cannot write output file: {OSError(code, os.strerror(code), out_path)}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
@@ -63,7 +79,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 _OPTIONS = {
-    "--k": dict(type=int, default=None, help="lowest levels to solve (default 2^M + 1)"),
     "--out": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv", dest="fmt"),
 }
@@ -102,7 +117,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_gap.add_argument("--beta", type=float, default=1.0)
     p_gap.add_argument("--timings", action="store_true",
                        help="append a wall-time column (breaks byte determinism)")
-    _add_common(p_gap, "--k", "--out", "--format")
+    _add_common(p_gap, "--out", "--format")
 
     p_det = commands["detect"] = sub.add_parser(
         "detect", help="detection probability sweep over beta")
@@ -115,9 +130,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_spec = commands["spectrum"] = sub.add_parser(
         "spectrum", help="dump low-lying levels of a program")
     p_spec.add_argument("--program", required=True)
-    p_spec.add_argument("--k", **dict(
-        _OPTIONS["--k"], help=f"lowest levels to print above dimension {DENSE_SOLVE_MAX} "
-        "(default 2^M + 1); ignored at or below it, where every level is printed"))
+    p_spec.add_argument("--k", type=int, default=None,
+                        help=f"lowest levels to print above dimension {DENSE_SOLVE_MAX} "
+                        "(default 2^M + 1); ignored at or below it, where every level is printed")
     _add_common(p_spec, "--out", "--format")
 
     p_ver = commands["verify"] = sub.add_parser("verify", help="run the invariant suite")
@@ -206,13 +221,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _eigenpairs(args, num_qubits: int) -> int:
-    """--k, by default 2^M + 1: the unpinned ground manifold and the level above."""
-    if args.k is not None and args.k < 1:
-        raise ProgramError(f"--k must be at least 1, got {args.k}")
-    return 2 ** num_qubits + 1 if args.k is None else args.k
-
-
 def _gap_row(args, N: int):
     t0 = time.perf_counter()
     row = {"N": N, "M": args.m, "gates": "none", "e0": None, "gap": None,
@@ -225,13 +233,11 @@ def _gap_row(args, N: int):
             row["gates"] = f"{args.gate}@{j}:0>1"
         program = Program(num_qubits=args.m, num_steps=N, gates=gates,
                           tip_beta=None if args.beta == 1.0 else args.beta)
-        res, _ = solve_program(program, args.k, vectors=False)
+        # the unpinned 2^M-fold zero manifold and the level above it
+        res, _ = solve_program(program, 2 ** args.m + 1, vectors=False)
         row.update(e0=res.ground_energy, gap=res.gap, iterations=res.lu_solves)
-        if res.gap is None:
-            row["upper"] = upper_bound(program)
-        else:  # a violated bound fails the row
-            bounds = check_bounds(program, res.gap)
-            row.update(upper=bounds.upper, alpha4=bounds.alpha_empirical)
+        # a violated bound fails the row
+        row.update(upper=check_bounds(program, res.gap), alpha4=res.gap * (N + 1) ** 4)
     except Exception as exc:
         row["status"] = f"{type(exc).__name__}: {exc}"
         print(f"N={N}: {row['status']}", file=sys.stderr)
@@ -260,7 +266,6 @@ def _check_sweep(args) -> None:
         raise ProgramError(f"--n-min must be at least 1, got {args.n_min}")
     if args.n_max < args.n_min:
         raise ProgramError(f"empty N range {args.n_min}..{args.n_max}")
-    args.k = _eigenpairs(args, args.m)
 
 
 def cmd_gap_scan(args) -> int:
@@ -311,8 +316,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.k is not None and args.k < 2:
+        raise ProgramError(f"--k must be at least 2, since a ground cluster needs the level "
+                           f"above it to be resolved, got {args.k}")
     program = load_program(args.program)
-    k = _eigenpairs(args, program.num_qubits)
+    # by default the unpinned ground manifold and the level above it
+    k = 2 ** program.num_qubits + 1 if args.k is None else args.k
     _, H = assemble(program)
     res = solve_spectrum(H, k=H.dim if H.dim <= DENSE_SOLVE_MAX else k)
     if args.fmt == "json":
@@ -354,6 +363,7 @@ def main(argv=None) -> int:
         args = _parse(list(sys.argv[1:] if argv is None else argv))
         if _maybe_show_config(args):
             return EXIT_OK
+        _check_out(getattr(args, "out", None))
         return _COMMANDS[args.command](args)
     except ProgramError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,9 +53,7 @@ def test_measured_gap_below_bound():
     prog = Program(num_qubits=2, num_steps=2, gates=[gate_cnot(1, 0, 1)])
     gap = measured_gap(prog)
     assert 0 < gap <= 0.5
-    bounds = check_bounds(prog, gap)
-    assert bounds.satisfied()
-    assert bounds.alpha_empirical == pytest.approx(gap * 3 ** 4)
+    assert check_bounds(prog, gap) == upper_bound(prog)
 
 
 def test_multi_gate_instances_respect_bound():
@@ -125,7 +123,7 @@ def test_bound_slack_scales_with_epsilon(eps):
     prog = Program(num_qubits=2, num_steps=4, gates=[gate_cnot(2, 0, 1)], epsilon=eps)
     upper = upper_bound(prog)
     assert upper == pytest.approx(eps / 6.0)
-    assert check_bounds(prog, upper).satisfied()
+    assert check_bounds(prog, upper) == upper
     with pytest.raises(BoundViolationError, match="exceeds"):
         check_bounds(prog, 1.01 * upper)
 
@@ -135,6 +133,7 @@ def test_alpha_floor_positive_across_family():
     for n in range(2, 8):
         for j in range(1, n + 1):
             prog = Program(num_qubits=2, num_steps=n, gates=[gate_cnot(j, 0, 1)])
-            bounds = check_bounds(prog, measured_gap(prog))
-            alphas.append(bounds.alpha_empirical)
+            gap = measured_gap(prog)
+            assert check_bounds(prog, gap) == upper_bound(prog)
+            alphas.append(gap * (n + 1) ** 4)
     assert min(alphas) > 0.5  # family floor is comfortably bounded away from zero

@@ -89,6 +89,37 @@ def test_run_malformed_document_exit_2(tmp_path, capsys, change):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_ONE_QUBIT_SINGLE = {"kind": "single", "row": 1, "qubit": 0,
+                     "matrix": NOT_PROGRAM["gates"][0]["matrix"]}
+
+
+@pytest.mark.parametrize("flag,doc,message", [
+    ("--program", {"qubits": 2, "steps": 2,
+                   "gates": [{"kind": "bogus", "row": 1, "control": 0, "target": 1}]},
+     "gates[0]: unknown gate kind 'bogus'"),
+    ("--program", {"qubits": 1, "steps": 2,
+                   "gates": [dict(_ONE_QUBIT_SINGLE, matrix=[[1, 0], [0, 1]])]},
+     "gates[0]: matrix must be a 2x2 array of [re, im] pairs"),
+    ("--program", {"qubits": 2, "steps": 2, "readout": [0, 0]},
+     "readout qubit 0 listed twice"),
+    ("--program", {"qubits": 1, "steps": 2, "pins": [{"qubit": 0, "bit": 2}]},
+     "pin bit must be 0 or 1, got 2"),
+    ("--program", {"qubits": 1, "steps": 2, "gates": [dict(_ONE_QUBIT_SINGLE, qubit=5)]},
+     "single gate qubit 5 outside 0..0"),
+    ("--config", None, "cannot read config file: [Errno 2] No such file or directory"),
+    ("--config", [1, 2], "config file must hold a JSON object"),
+], ids=["bogus-kind", "matrix-not-pairs", "readout-twice", "pin-bit-2", "qubit-5-of-1",
+        "config-missing", "config-list"])
+def test_rejected_input_file_exit_2_with_message(tmp_path, capsys, flag, doc, message):
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    command = "run" if flag == "--program" else "gap-scan"
+    assert main([command, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+
 def test_spectrum_huge_qubit_count_exit_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"qubits": 10000, "steps": 1}))
@@ -218,14 +249,24 @@ def test_run_consistency_error_exit_4(not_program, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "3"],
     ["run", "--program", None],
-], ids=["gap-scan", "run"])
-def test_unwritable_out_exit_2(not_program, tmp_path, capsys, argv):
+    ["detect", "--m", "1", "--n", "2"],
+    ["spectrum", "--program", None],
+], ids=["gap-scan", "run", "detect", "spectrum"])
+def test_unwritable_out_exit_2(not_program, tmp_path, monkeypatch, capsys, argv):
+    # a missing directory or a directory is found before anything is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    for name in ("solve_program", "run_program", "assemble"):
+        monkeypatch.setattr(gsqc.cli, name, no_solve)
     argv = [not_program if a is None else a for a in argv]
-    target = tmp_path / "missing" / "out.txt"
-    assert main(argv + ["--out", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert "error: cannot write output file:" in captured.err and str(target) in captured.err
-    assert captured.out == "" and not target.parent.exists()
+    for target, reason in ((tmp_path / "missing" / "out.txt", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        assert main(argv + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot write output file:" in captured.err and str(target) in captured.err
+        assert reason in captured.err and captured.out == ""
+    assert os.listdir(tmp_path) == ["not.json"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -382,21 +423,14 @@ def test_detect_non_numeric_beta_exit_2(capsys):
     assert err.startswith("error: ") and "abc" in err
 
 
-@pytest.mark.parametrize("k", ["0", "-3"])
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
 def test_spectrum_k_below_one_exit_2(tmp_path, capsys, k):
     path = tmp_path / "m2n22.json"  # dimension 2116, above the dense size
     path.write_text(json.dumps({"qubits": 2, "steps": 22,
                                 "gates": [{"kind": "cnot", "row": 11, "control": 0,
                                            "target": 1}]}))
     assert main(["spectrum", "--program", str(path), "--k", k]) == 2
-    assert "--k must be at least 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("k", ["0", "-3"])
-def test_gap_scan_k_below_one_exit_2(capsys, k):
-    assert main(["gap-scan", "--m", "1", "--n-min", "2", "--n-max", "3", "--k", k]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--k must be at least 1" in captured.err
+    assert "--k must be at least 2" in capsys.readouterr().err
 
 
 def test_spectrum_k_beyond_dense_cap_exit_3(tmp_path, capsys):
@@ -462,12 +496,11 @@ def test_gap_scan_gate_row_beyond_n_fails_only_that_row(capsys):
        n_max=st.sampled_from(["0", "1", "2", "4"]),
        gate=st.sampled_from(["none", "cnot", "cid"]),
        j=st.sampled_from(["mid", "0", "1", "3", "9", "abc", "-1"]),
-       beta=st.sampled_from(["0", "0.5", "1", "1.5", "nan", "-1"]),
-       k=st.sampled_from(["-1", "0", "1", "5"]))
-def test_gap_scan_never_raises(m, n_min, n_max, gate, j, beta, k):
+       beta=st.sampled_from(["0", "0.5", "1", "1.5", "nan", "-1"]))
+def test_gap_scan_never_raises(m, n_min, n_max, gate, j, beta):
     # M <= 2 and N <= 4: every row has dimension at most 100
     argv = ["gap-scan", "--m", m, "--n-min", n_min, "--n-max", n_max, "--gate", gate,
-            "--j", j, "--beta", beta, "--k", k]
+            "--j", j, "--beta", beta]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3)
 
@@ -475,7 +508,7 @@ def test_gap_scan_never_raises(m, n_min, n_max, gate, j, beta, k):
 @pytest.mark.parametrize("argv", [["run", "--k", "3"], ["run", "--format", "json"],
                                   ["detect", "--k", "3"], ["verify", "--out", "x"],
                                   ["verify", "--dense-cutoff", "64"], ["run", "--tol", "0"],
-                                  ["run", "--seed", "3"]])
+                                  ["run", "--seed", "3"], ["gap-scan", "--k", "3"]])
 def test_command_rejects_option_it_does_not_read(not_program, argv):
     if argv[0] == "run":
         argv = argv + ["--program", not_program]
@@ -499,11 +532,11 @@ def test_show_config(capsys):
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 4, "k": 5}))
+    cfg.write_text(json.dumps({"m": 4, "n_max": 5}))
     assert main(["gap-scan", "--config", str(cfg), "--m", "3", "--show-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["m"] == 3  # flag wins
-    assert doc["k"] == 5  # file beats default
+    assert doc["n_max"] == 5  # file beats default
 
 
 @pytest.mark.parametrize("key", ["bogus", "dense-cutoff", "tol", "seed"])
@@ -518,7 +551,7 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys, key):
                          ids=["list", "fraction", "bool", "text", "object"])
 def test_config_value_runs_through_option_type_exit_2(tmp_path, capsys, value):
     cfg = tmp_path / "cfg.json"
-    for key in ("m", "k"):
+    for key in ("m", "n_max"):
         cfg.write_text(json.dumps({key: value}))
         assert main(["gap-scan", "--config", str(cfg), "--n-min", "2", "--n-max", "3"]) == 2
         captured = capsys.readouterr()
@@ -531,12 +564,12 @@ def test_config_value_checked_against_choices_and_switches(tmp_path, capsys):
         cfg.write_text(json.dumps(doc))
         assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 2
         assert f"config key '{next(iter(doc))}'" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"k": "5", "beta": 0.5, "gate": "cid", "timings": True,
+    cfg.write_text(json.dumps({"n-min": "5", "beta": 0.5, "gate": "cid", "timings": True,
                                "j": 2, "n-max": None}))
     assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["k"], doc["beta"], doc["gate"], doc["timings"], doc["j"]) == (5, 0.5, "cid",
-                                                                            True, "2")
+    assert (doc["n_min"], doc["beta"], doc["gate"], doc["timings"], doc["j"]) == (
+        5, 0.5, "cid", True, "2")
     assert doc["n_max"] == 8  # null leaves the default
 
 
@@ -544,7 +577,7 @@ def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
     assert main(["gap-scan", "--show-config"]) == 0
     plain = json.loads(capsys.readouterr().out)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"k": 5, "m": 3}))
+    cfg.write_text(json.dumps({"n_max": 5, "m": 3}))
     assert main(["gap-scan", "--config", str(cfg), "--show-config"]) == 0
     assert json.loads(capsys.readouterr().out)["m"] == 3
     assert main(["gap-scan", "--show-config"]) == 0

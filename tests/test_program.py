@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gsqc.basis import ConfigurationBasis
+from gsqc.bounds import check_bounds
 from gsqc.detection import attach_readout
 from gsqc.errors import ProgramError
 from gsqc.hamiltonian import assemble
 from gsqc.program import (Pin, Program, gate_cid, gate_cnot, gate_single, load_program,
                           pin_all, program_from_dict, program_to_dict, validate_program)
-from gsqc.semantics import random_program
+from gsqc.semantics import random_program, reference_circuit
+from gsqc.sparse import SparseHermitian
 
 NOT = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -221,3 +224,17 @@ def test_random_program_roundtrips_field_by_field(seed, pool, kind, beta, streng
             h.kind, h.row, h.qubit, h.control, h.target)
         if g.kind == "single":
             assert np.array_equal(np.asarray(g.matrix, dtype=complex), h.matrix)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ConfigurationBasis(0, 1), ProgramError, "at least one qubit and one step"),
+    (lambda: SparseHermitian(2, rows=[[0]], cols=[[0]], vals=[[1.0]]), ValueError,
+     "must be 1-d"),
+    (lambda: reference_circuit(Program(num_qubits=2, num_steps=2), [0, 0, 0]), ValueError,
+     "need 2 input bits"),
+    (lambda: check_bounds(Program(num_qubits=1, num_steps=2), -1.0), ValueError,
+     "gap must be >= 0"),
+], ids=["basis-no-qubit", "sparse-2d-rows", "reference-extra-bit", "bounds-negative-gap"])
+def test_library_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
